@@ -149,7 +149,7 @@ pub struct ChurnResult {
     /// One entry per epoch, in order.
     pub epochs: Vec<ChurnEpoch>,
     /// Frames still allocated after every process was drained — 0 unless
-    /// an out-of-memory fork abandoned a partially built child.
+    /// the OS lost track of a frame.
     pub leaked_frames: u64,
 }
 
@@ -318,8 +318,8 @@ pub fn run_on(os: &mut Os, config: &ChurnConfig) -> Result<ChurnResult, DvmError
         prev = s;
     }
 
-    // Drain everything — including any partially built fork children the
-    // scheduler lost track of — in pid order.
+    // Drain every live process in pid order. A failed fork has already
+    // exited its half-built child, so nothing else is left to reclaim.
     let mut pids: Vec<Pid> = os.processes.keys().copied().collect();
     pids.sort_unstable();
     for pid in pids {

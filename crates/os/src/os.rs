@@ -356,14 +356,30 @@ impl Os {
         }
         let leaf = self.flavor.leaf().unwrap_or(PageSize::Size4K);
         for (i, chunk) in chunks.iter().enumerate() {
-            proc.page_table.map_page(
+            let mapped = proc.page_table.map_page(
                 &mut self.machine.mem,
                 &mut self.machine.allocator,
                 va + i as u64 * granule,
                 PhysAddr::from_frame(chunk.start),
                 leaf,
                 perms,
-            )?;
+            );
+            if let Err(e) = mapped {
+                // Out of table frames: unmap the chunks mapped so far and
+                // give every chunk back, as the allocation loop does.
+                if i > 0 {
+                    proc.page_table.unmap_region(
+                        &mut self.machine.mem,
+                        &mut self.machine.allocator,
+                        va,
+                        i as u64 * granule,
+                    )?;
+                }
+                for &c in &chunks {
+                    self.machine.allocator.free_frames(c);
+                }
+                return Err(e);
+            }
         }
         proc.vmas.insert(
             va.raw(),
@@ -457,10 +473,26 @@ impl Os {
     ///
     /// # Errors
     ///
-    /// [`DvmError::NoSuchProcess`] / [`DvmError::OutOfMemory`].
+    /// [`DvmError::NoSuchProcess`] / [`DvmError::OutOfMemory`]. On
+    /// failure the half-built child has already exited, so every frame it
+    /// took is released again.
     pub fn fork(&mut self, parent: Pid) -> Result<Pid, DvmError> {
         self.process(parent)?;
         let child = self.spawn()?;
+        match self.copy_address_space(parent, child) {
+            Ok(()) => Ok(child),
+            Err(e) => {
+                self.exit(child)?;
+                Err(e)
+            }
+        }
+    }
+
+    /// The body of [`fork`](Self::fork): share `parent`'s VMAs into the
+    /// fresh `child` one by one. A VMA takes its frame references only
+    /// once the child's copy is in place, so exiting the child after a
+    /// failure at any point drops exactly the references taken.
+    fn copy_address_space(&mut self, parent: Pid, child: Pid) -> Result<(), DvmError> {
         let parent_vmas: Vec<Vma> = self.process(parent)?.vmas().cloned().collect();
         let parent_cursor = self.process(parent)?.demand_cursor;
 
@@ -471,12 +503,6 @@ impl Os {
             } else {
                 vma.perms
             };
-
-            // Share every currently backing frame.
-            for page in 0..vma.pages() {
-                let frame = vma.frame_of_page(page);
-                *self.frame_refs.entry(frame).or_insert(1) += 1;
-            }
 
             // Protect the parent's mappings read-only.
             if writable {
@@ -553,10 +579,16 @@ impl Os {
             let mut child_vma = vma.clone();
             child_vma.cow = writable;
             child_proc.vmas.insert(child_vma.start.raw(), child_vma);
+
+            // Share every currently backing frame.
+            for page in 0..vma.pages() {
+                let frame = vma.frame_of_page(page);
+                *self.frame_refs.entry(frame).or_insert(1) += 1;
+            }
         }
         let child_proc = self.processes.get_mut(&child).expect("fresh child");
         child_proc.demand_cursor = child_proc.demand_cursor.max(parent_cursor);
-        Ok(child)
+        Ok(())
     }
 
     /// `vfork`: create a child that *shares* the parent's address space
@@ -634,13 +666,22 @@ impl Os {
         let new_frame = self.machine.allocator.alloc_frame()?;
         self.machine.mem.copy_frame(old_frame, new_frame);
         let proc = self.processes.get_mut(&pid).expect("checked");
-        proc.page_table.remap_page(
+        let remapped = proc.page_table.remap_page(
             &mut self.machine.mem,
             &mut self.machine.allocator,
             page_va,
             PhysAddr::from_frame(new_frame),
             vma_perms,
-        )?;
+        );
+        if let Err(e) = remapped {
+            // The page keeps its shared frame; drop the unused copy.
+            self.machine.mem.discard_frame(new_frame);
+            self.machine.allocator.free_frames(FrameRange {
+                start: new_frame,
+                count: 1,
+            });
+            return Err(e);
+        }
         if let Some(vma) = proc.vma_at_mut(fault.va) {
             vma.cow_pages.insert(page_idx, new_frame);
         }
