@@ -2,7 +2,7 @@
 //! identity-mapping decay under buddy-allocator fragmentation.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin churn [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin churn [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 //!
 //! The paper evaluates identity mapping on fresh address spaces; this

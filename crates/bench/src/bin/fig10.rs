@@ -3,7 +3,7 @@
 //! pages, and cDVM.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin fig10 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin fig10 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
 use dvm_bench::{run_grid, BenchArgs, FigureJson, Json, Scale};

@@ -6,7 +6,7 @@
 //! Figure 8.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin fig11 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin fig11 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
 use dvm_bench::{geomean, pair_label, run_sharded_sweep, BenchArgs, FigureJson, Json};

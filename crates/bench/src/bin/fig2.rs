@@ -2,7 +2,7 @@
 //! fully associative TLB, 4 KiB vs 2 MiB pages.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin fig2 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin fig2 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
 use dvm_bench::{pair_label, run_sharded_sweep, BenchArgs, FigureJson, Json};

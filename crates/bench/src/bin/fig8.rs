@@ -2,7 +2,7 @@
 //! scheme, normalized to the Ideal (direct physical access) run.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin fig8 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin fig8 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
 use dvm_bench::{geomean, pair_label, run_sharded_sweep, BenchArgs, FigureJson, Json};

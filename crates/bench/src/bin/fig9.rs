@@ -2,7 +2,7 @@
 //! validation, normalized to the 4K TLB+PWC baseline.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin fig9 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin fig9 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
 use dvm_bench::{geomean, pair_label, run_sharded_sweep, BenchArgs, FigureJson, Json};

@@ -2,7 +2,7 @@
 //! Permission Entries.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin table1 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin table1 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
 use dvm_bench::{run_grid, BenchArgs, FigureJson, Json};

@@ -2,7 +2,7 @@
 //! synthetic stand-ins generated at the selected scale.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin table3 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin table3 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 
 use dvm_bench::{run_grid, BenchArgs, FigureJson, Json};

@@ -2,7 +2,7 @@
 //! identity mapping under shbench churn, for 16/32/64 GiB machines.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin table4 [--scale smoke|quick|paper|full] [--jobs N] [--shards N]
+//! cargo run --release -p dvm-bench --bin table4 [--scale smoke|quick|paper|full] [--jobs N]
 //! ```
 //!
 //! `smoke`/`quick` use 4/8/16 GiB machines; `paper`/`full` the published

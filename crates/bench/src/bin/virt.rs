@@ -5,7 +5,7 @@
 //! can eliminate it entirely.
 //!
 //! ```text
-//! cargo run --release -p dvm-bench --bin virt [--jobs N] [--shards N] [--json PATH]
+//! cargo run --release -p dvm-bench --bin virt [--jobs N] [--json PATH]
 //! ```
 
 use dvm_bench::{run_grid, BenchArgs, FigureJson, Json};

@@ -14,10 +14,11 @@
 //! --schemes a,b,c                 restrict to some translation schemes
 //! --jobs N                        worker threads per process (0 = all cores)
 //! --json PATH                     also write the machine-readable document
-//! --shards N                      fan the grid out over N worker processes
 //! --shard I/N                     run only shard I, write a fragment, exit
 //! --shard-out PATH                fragment path (only with --shard)
 //! --merge-dir DIR                 merge fragments written by --shard workers
+//! --farm HOST:PORT                run the grid on a farmd coordinator's workers
+//! --shards N                      slice count for --farm (default: one per worker)
 //! --cache-dir DIR                 on-disk dataset cache (see dvm-graph)
 //! --cache-max-bytes N             LRU-evict dataset-cache entries over N bytes
 //! --report-cache DIR              per-unit report cache shared across binaries
@@ -52,8 +53,6 @@ impl fmt::Display for Shard {
 pub enum ShardRole {
     /// Run the whole grid in this process (the default).
     Single,
-    /// Spawn `N` worker processes and merge their fragments.
-    Coordinator(usize),
     /// Run one shard and write a fragment (no stdout contract).
     Worker(Shard),
     /// Merge fragments other workers already wrote (e.g. on other
@@ -80,7 +79,8 @@ pub struct BenchArgs {
     pub jobs: usize,
     /// Where to write the machine-readable results, if anywhere.
     pub json: Option<PathBuf>,
-    /// Coordinator: number of worker processes to spawn.
+    /// `--farm`: number of slices to ask for (None = one per connected
+    /// worker).
     pub shards: Option<usize>,
     /// Worker: the slice of the grid this process runs.
     pub shard: Option<Shard>,
@@ -126,8 +126,8 @@ pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,
        [--jobs N] [--json PATH] [--progress] [--cache-dir DIR]
        [--cache-max-bytes N] [--cache-stats] [--report-cache DIR]
        [--report-cache-max-bytes N]
-       [--shards N | --shard I/N [--shard-out PATH] | --merge-dir DIR]
-       [--farm HOST:PORT]
+       [--shard I/N [--shard-out PATH] | --merge-dir DIR
+        | --farm HOST:PORT [--shards N]]
 
   --scale        dataset sizing (default: quick; smoke is for CI/tests)
   --datasets     comma-separated short names; others are skipped
@@ -146,13 +146,18 @@ pub const USAGE: &str = "usage: [--scale smoke|quick|paper|full] [--datasets FR,
   --report-cache reuse per-unit sweep reports across figure binaries
   --report-cache-max-bytes
                  same LRU byte budget, for the report cache
-  --shards       fan the grid out over N worker processes and merge
   --shard        run only shard I of N and write a fragment, then exit
   --shard-out    fragment path for --shard (default results/shards/...)
   --merge-dir    merge fragments already written by --shard workers
   --farm         submit the sweep to a farmd coordinator and merge the
-                 fragments its workers return (with --shards N, ask for
-                 N slices; default: one slice per connected worker)";
+                 fragments its workers return
+  --shards       slice count for --farm (default: one slice per
+                 connected worker); on one host, use --jobs instead";
+
+/// The diagnostic for `--shards` without `--farm`: the flag only sizes a
+/// farm job, and parallelism on one host is `--jobs`.
+const SHARDS_WITHOUT_FARM: &str =
+    "--shards N sets the slice count for --farm; use --jobs N to run in parallel on this host";
 
 /// Parse a byte count with an optional binary suffix: `1536`, `64K`,
 /// `512M`, `8G`, `1T` (case-insensitive).
@@ -312,17 +317,14 @@ impl BenchArgs {
             }
         }
 
-        let roles = [shards.is_some(), shard.is_some(), merge_dir.is_some()];
+        if shards.is_some() && farm.is_none() {
+            return Err(err(SHARDS_WITHOUT_FARM));
+        }
+        let roles = [shard.is_some(), merge_dir.is_some(), farm.is_some()];
         if roles.iter().filter(|&&r| r).count() > 1 {
             return Err(err(
-                "--shards, --shard and --merge-dir are mutually exclusive",
+                "--shard, --merge-dir and --farm are mutually exclusive",
             ));
-        }
-        // --farm composes with --shards (the requested slice count) but
-        // not with the other roles: a farm worker already is a --shard
-        // process, and --merge-dir never runs anything.
-        if farm.is_some() && (shard.is_some() || merge_dir.is_some()) {
-            return Err(err("--farm cannot be combined with --shard or --merge-dir"));
         }
         if shard_out.is_some() && shard.is_none() {
             return Err(err("--shard-out only makes sense with --shard"));
@@ -489,8 +491,6 @@ impl BenchArgs {
             ShardRole::Worker(shard)
         } else if self.farm.is_some() {
             ShardRole::Farm
-        } else if let Some(n) = self.shards {
-            ShardRole::Coordinator(n)
         } else if self.merge_dir.is_some() {
             ShardRole::Merge
         } else {
@@ -664,9 +664,12 @@ impl BenchArgs {
         }
     }
 
-    /// The grid-defining flags every re-spawned process needs: scale,
-    /// filters, jobs, caches, progress — minus any role flag.
-    fn base_argv(&self) -> Vec<String> {
+    /// The argv submitted with a `--farm` job: everything a worker needs
+    /// to build the identical grid (scale, filters, jobs, caches,
+    /// progress) and no role flag. Farm workers append
+    /// `--shard I/N --shard-out PATH` themselves per slice (and may
+    /// override the cache paths with local ones).
+    pub fn farm_argv(&self) -> Vec<String> {
         let mut argv = vec!["--scale".to_string(), self.scale.name().to_string()];
         if let Some(datasets) = &self.datasets {
             argv.push("--datasets".to_string());
@@ -701,31 +704,6 @@ impl BenchArgs {
         }
         argv
     }
-
-    /// The argv a coordinator hands to worker `index` of `count`:
-    /// everything the worker needs to build the identical grid, minus the
-    /// coordinator-only flags.
-    pub fn worker_argv(
-        &self,
-        index: usize,
-        count: usize,
-        fragment: &std::path::Path,
-    ) -> Vec<String> {
-        let mut argv = self.base_argv();
-        argv.push("--shard".to_string());
-        argv.push(format!("{index}/{count}"));
-        argv.push("--shard-out".to_string());
-        argv.push(fragment.display().to_string());
-        argv
-    }
-
-    /// The argv submitted with a `--farm` job: the same grid-defining
-    /// flags as [`Self::worker_argv`], but with no shard assignment —
-    /// farm workers append `--shard I/N --shard-out PATH` themselves
-    /// per slice (and may override the cache paths with local ones).
-    pub fn farm_argv(&self) -> Vec<String> {
-        self.base_argv()
-    }
 }
 
 #[cfg(test)]
@@ -734,6 +712,19 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<BenchArgs, CliError> {
         BenchArgs::try_parse(args.iter().map(|s| s.to_string()))
+    }
+
+    /// Parse what a `farmworker` runs for slice `index` of `count`: the
+    /// submitted [`BenchArgs::farm_argv`] plus the shard tail it appends.
+    fn farm_worker(args: &BenchArgs, index: usize, count: usize) -> BenchArgs {
+        let mut argv = args.farm_argv();
+        argv.extend([
+            "--shard".to_string(),
+            format!("{index}/{count}"),
+            "--shard-out".to_string(),
+            "f.json".to_string(),
+        ]);
+        BenchArgs::try_parse(argv).unwrap()
     }
 
     #[test]
@@ -779,17 +770,25 @@ mod tests {
             ShardRole::Worker(Shard { index: 1, count: 3 })
         );
         assert_eq!(
-            parse(&["--shards", "4"]).unwrap().role(),
-            ShardRole::Coordinator(4)
-        );
-        assert_eq!(
             parse(&["--merge-dir", "d"]).unwrap().role(),
             ShardRole::Merge
+        );
+        // --shards only sizes a --farm job; alone it points at --jobs.
+        assert_eq!(
+            parse(&["--shards", "4"]).unwrap_err().0,
+            SHARDS_WITHOUT_FARM
+        );
+        assert_eq!(
+            parse(&["--shards", "2", "--shard", "0/2"]).unwrap_err().0,
+            SHARDS_WITHOUT_FARM
         );
         assert!(parse(&["--shard", "3/3"]).is_err());
         assert!(parse(&["--shard", "x/3"]).is_err());
         assert!(parse(&["--shards", "0"]).is_err());
-        assert!(parse(&["--shards", "2", "--shard", "0/2"]).is_err());
+        assert!(parse(&["--shard", "0/2", "--merge-dir", "d"])
+            .unwrap_err()
+            .0
+            .contains("mutually exclusive"));
         assert!(parse(&["--shard-out", "f.json"]).is_err());
     }
 
@@ -811,8 +810,7 @@ mod tests {
         let args = parse(&["--farm", "127.0.0.1:9000"]).unwrap();
         assert_eq!(args.farm.as_deref(), Some("127.0.0.1:9000"));
         assert_eq!(args.role(), ShardRole::Farm);
-        // --shards under --farm is the requested slice count, not a
-        // local coordinator role.
+        // --shards under --farm is the requested slice count.
         let args = parse(&["--farm", "host:1", "--shards", "4"]).unwrap();
         assert_eq!(args.role(), ShardRole::Farm);
         assert_eq!(args.shards, Some(4));
@@ -821,28 +819,6 @@ mod tests {
         }
         assert!(parse(&["--farm", "h:1", "--shard", "0/2"]).is_err());
         assert!(parse(&["--farm", "h:1", "--merge-dir", "d"]).is_err());
-    }
-
-    #[test]
-    fn farm_argv_is_worker_argv_without_the_shard_tail() {
-        let args = parse(&[
-            "--farm",
-            "h:1",
-            "--scale",
-            "smoke",
-            "--jobs",
-            "2",
-            "--progress",
-        ])
-        .unwrap();
-        let farm = args.farm_argv();
-        let worker = args.worker_argv(0, 2, std::path::Path::new("f.json"));
-        assert_eq!(worker[..farm.len()], farm[..]);
-        assert_eq!(
-            worker[farm.len()..],
-            ["--shard", "0/2", "--shard-out", "f.json"]
-        );
-        assert!(!farm.iter().any(|a| a == "--farm" || a == "--shard"));
     }
 
     #[test]
@@ -934,8 +910,7 @@ mod tests {
             Some(64 << 20)
         );
         // Workers must enforce the same budgets on the shared dirs.
-        let argv = args.worker_argv(0, 2, std::path::Path::new("frag.json"));
-        let worker = BenchArgs::try_parse(argv).unwrap();
+        let worker = farm_worker(&args, 0, 2);
         assert_eq!(worker.cache_max_bytes, Some(2 << 30));
         assert_eq!(worker.report_cache_max_bytes, Some(64 << 20));
         let _ = std::fs::remove_dir_all(&dir);
@@ -978,9 +953,8 @@ mod tests {
         let args = parse(&["--report-cache", dir.to_str().unwrap()]).unwrap();
         let reports = args.reports.as_ref().expect("report cache opened");
         assert_eq!(reports.dir(), dir.as_path());
-        let argv = args.worker_argv(0, 2, std::path::Path::new("frag.json"));
-        let pos = argv.iter().position(|a| a == "--report-cache").unwrap();
-        assert_eq!(argv[pos + 1], dir.display().to_string());
+        let worker = farm_worker(&args, 0, 2);
+        assert_eq!(worker.reports.as_ref().unwrap().dir(), dir.as_path());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1035,10 +1009,9 @@ mod tests {
 
     #[test]
     fn schemes_flag_reaches_workers() {
-        let coordinator = parse(&["--schemes", "DVM-PE+,SVA-IOMMU"]).unwrap();
-        let argv = coordinator.worker_argv(0, 2, std::path::Path::new("frag.json"));
-        let worker = BenchArgs::try_parse(argv).unwrap();
-        assert_eq!(worker.schemes, coordinator.schemes);
+        let submitter = parse(&["--schemes", "DVM-PE+,SVA-IOMMU"]).unwrap();
+        let worker = farm_worker(&submitter, 0, 2);
+        assert_eq!(worker.schemes, submitter.schemes);
         assert_eq!(
             worker.try_iommu_schemes(&[]).unwrap(),
             vec![SchemeId::DVM_PE_PLUS, SchemeId::SVA_IOMMU]
@@ -1046,20 +1019,38 @@ mod tests {
     }
 
     #[test]
-    fn worker_argv_round_trips_through_the_parser() {
-        let coordinator = parse(&["--scale", "smoke", "--datasets", "FR", "--jobs", "2"]).unwrap();
-        let argv = coordinator.worker_argv(1, 2, std::path::Path::new("frag.json"));
-        let worker = BenchArgs::try_parse(argv).unwrap();
-        assert_eq!(worker.scale, coordinator.scale);
-        assert_eq!(worker.datasets, coordinator.datasets);
-        assert_eq!(worker.jobs, coordinator.jobs);
+    fn farm_argv_round_trips_through_the_parser() {
+        let submitter = parse(&[
+            "--farm",
+            "h:1",
+            "--shards",
+            "2",
+            "--scale",
+            "smoke",
+            "--datasets",
+            "FR",
+            "--jobs",
+            "2",
+            "--progress",
+        ])
+        .unwrap();
+        // The submitted argv carries the grid but no role flag.
+        assert!(!submitter
+            .farm_argv()
+            .iter()
+            .any(|a| a == "--farm" || a == "--shards" || a == "--shard"));
+        let worker = farm_worker(&submitter, 1, 2);
+        assert_eq!(worker.scale, submitter.scale);
+        assert_eq!(worker.datasets, submitter.datasets);
+        assert_eq!(worker.jobs, submitter.jobs);
+        assert!(worker.progress);
         assert_eq!(
             worker.role(),
             ShardRole::Worker(Shard { index: 1, count: 2 })
         );
         assert_eq!(
             worker.shard_out.as_deref(),
-            Some(std::path::Path::new("frag.json"))
+            Some(std::path::Path::new("f.json"))
         );
     }
 }

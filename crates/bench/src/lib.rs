@@ -5,10 +5,10 @@
 //!
 //! * [`cli`] — the one typed command line ([`BenchArgs`]) every binary
 //!   parses, including the sharding flags,
-//! * [`shard`] — the multi-process sweep runner: a coordinator respawns
-//!   the binary as `--shard I/N` workers, collects raw-result fragments
-//!   and formats the merged grid exactly once, so N-shard output is
-//!   byte-identical to the serial run,
+//! * [`shard`] — the multi-process sweep runner: `--shard I/N` workers
+//!   write raw-result fragments, and a `--farm` or `--merge-dir` run
+//!   collects them and formats the merged grid exactly once, so N-shard
+//!   output is byte-identical to the serial run,
 //! * [`json`] — the hand-rolled JSON layer: [`JsonDoc`] builder (every
 //!   document opens with `schema_version` + `experiment`), renderer,
 //!   parser and header validation.
@@ -24,8 +24,8 @@
 //!
 //! All binaries execute through [`dvm_core::sweep`], so `--jobs N` runs
 //! the shared-nothing (scheme × workload × dataset) grid on N threads —
-//! and `--shards N` across N processes — while producing output
-//! byte-identical to the serial run.
+//! and `--farm HOST:PORT` across the processes of a sweep farm — while
+//! producing output byte-identical to the serial run.
 
 pub mod cli;
 pub mod diff;

@@ -1,27 +1,24 @@
 //! The multi-process sweep runner.
 //!
-//! A bench binary invoked with `--shards N` becomes a **coordinator**: it
-//! respawns its own executable N times with `--shard I/N`, each worker
-//! runs the round-robin slice of the grid ([`SweepSpec::shard`]) and
-//! writes a *fragment* — raw per-unit results keyed by global grid index
-//! — then exits. The coordinator collects the fragments, reassembles the
-//! results **in spec order**, and runs the ordinary formatting path
-//! exactly once. Because formatting consumes the same values a
-//! single-process run would produce (integers exactly, floats through
-//! the shortest-representation render and correctly-rounded parse), the
-//! merged text table and `--json` document are byte-identical to a
-//! `--jobs 1` run by construction.
+//! A bench binary invoked with `--shard I/N` is a **worker**: it runs the
+//! round-robin slice of the grid ([`SweepSpec::shard`]), writes a
+//! *fragment* — raw per-unit results keyed by global grid index — and
+//! exits. Fragments reach a merging process in one of two ways: a
+//! `--farm HOST:PORT` run receives them from `farmworker`s over TCP, and
+//! `--merge-dir DIR` reads fragment files copied from other machines.
+//! Either way the merger reassembles the results **in spec order** and
+//! runs the ordinary formatting path exactly once. Because formatting
+//! consumes the same values a single-process run would produce (integers
+//! exactly, floats through the shortest-representation render and
+//! correctly-rounded parse), the merged text table and `--json` document
+//! are byte-identical to a `--jobs 1` run by construction.
 //!
-//! Workers' stdout is discarded (their banner lines are not part of any
-//! contract). Without `--progress`, stderr is inherited so dataset-cache
-//! statistics stream through; with it, the coordinator pipes each
-//! worker's stderr and merges the N per-shard `progress:` streams into
-//! one global `done/total` count (other lines pass through verbatim).
-//! `--merge-dir DIR` skips the spawning and merges fragments some other
-//! machine's workers already wrote — the multi-host workflow.
+//! Parallelism on one host is `--jobs N` threads, which run the same
+//! grid at least as fast as N local worker processes (DESIGN.md, "Why
+//! local parallelism is threads").
 //!
-//! Workers inherit the coordinator's cache flags verbatim (see
-//! [`BenchArgs::worker_argv`]), including `--cache-max-bytes` and
+//! Farm workers receive the submitting process's cache flags verbatim
+//! (see [`BenchArgs::farm_argv`]), including `--cache-max-bytes` and
 //! `--report-cache-max-bytes`: every worker enforces the same LRU byte
 //! budget on the shared cache directories. Eviction is safe under this
 //! concurrency because a worker that loses an entry mid-sweep just
@@ -43,7 +40,6 @@ use dvm_core::{
 use dvm_pagetable::SizeReport;
 use dvm_sim::Histogram;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A per-unit result that can cross a process boundary through a shard
@@ -180,7 +176,7 @@ impl ShardValue for dvm_core::PageTableStudy {
 
 /// A churn unit's whole trajectory crosses the fragment boundary as an
 /// array of per-epoch counter objects. Only integers are carried —
-/// derived rates are computed at format time on the coordinator, so no
+/// derived rates are computed at format time by the merging process, so no
 /// float round-trip (or 0/0 rate) can perturb merged output.
 impl ShardValue for Vec<dvm_core::ChurnEpoch> {
     fn to_json(&self) -> Json {
@@ -238,7 +234,7 @@ fn churn_epoch_from_json(value: &Json) -> Result<dvm_core::ChurnEpoch, String> {
 }
 
 /// Rebuild a [`GraphRunReport`] from its [`report_json`] serialization,
-/// in the context of the cell (`mmu`, `workload`) the coordinator's own
+/// in the context of the cell (`mmu`, `workload`) the merging process's own
 /// spec says the unit belongs to — the names stored in the fragment are
 /// cross-checked against that context.
 pub(crate) fn report_from_json(
@@ -430,91 +426,6 @@ fn write_fragment(
     std::fs::write(&path, format!("{doc}\n")).expect("writing shard fragment failed");
 }
 
-/// Respawn this executable as `count` shard workers, wait for all of
-/// them, and return their parsed fragments. Worker stdout is discarded —
-/// banners belong to the coordinator. Under `--progress` each worker's
-/// stderr is piped through [`collapse_progress`] so the user sees one
-/// `done/total_units` count over the whole grid instead of `count`
-/// interleaved per-shard counts; otherwise stderr is inherited.
-fn spawn_workers(
-    args: &BenchArgs,
-    experiment: &str,
-    count: usize,
-    total_units: usize,
-) -> Result<Vec<Json>, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
-    let dir = std::env::temp_dir().join(format!("dvm-shards-{experiment}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let done = std::sync::Arc::new(AtomicUsize::new(0));
-    let result = (|| {
-        let paths: Vec<PathBuf> = (0..count)
-            .map(|i| dir.join(fragment_name(experiment, i, count)))
-            .collect();
-        let mut children = Vec::with_capacity(count);
-        for (i, path) in paths.iter().enumerate() {
-            let mut command = Command::new(&exe);
-            command
-                .args(args.worker_argv(i, count, path))
-                .stdout(Stdio::null());
-            if args.progress {
-                command.stderr(Stdio::piped());
-            }
-            let mut child = command
-                .spawn()
-                .map_err(|e| format!("spawning shard {i}/{count} failed: {e}"))?;
-            let relay = child.stderr.take().map(|stderr| {
-                let done = std::sync::Arc::clone(&done);
-                std::thread::spawn(move || relay_worker_stderr(stderr, &done, total_units))
-            });
-            children.push((child, relay));
-        }
-        for (i, (mut child, relay)) in children.into_iter().enumerate() {
-            let status = child
-                .wait()
-                .map_err(|e| format!("waiting on shard {i} failed: {e}"))?;
-            if let Some(relay) = relay {
-                let _ = relay.join();
-            }
-            if !status.success() {
-                return Err(format!("shard {i}/{count} exited with {status}"));
-            }
-        }
-        paths.iter().map(|path| read_fragment(path)).collect()
-    })();
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-/// Stream one worker's stderr to ours, collapsing its `progress:` lines
-/// into the shared global count; everything else (dataset-cache
-/// statistics, diagnostics) passes through untouched. Lines go out via
-/// [`dvm_farm::emit_stderr_line`] — length-checked and written whole
-/// under the stderr lock — so concurrent relay threads can never tear
-/// each other's lines the way buffered `eprintln!` fragments could.
-fn relay_worker_stderr(stderr: std::process::ChildStderr, done: &AtomicUsize, total: usize) {
-    use std::io::BufRead as _;
-    for line in std::io::BufReader::new(stderr).lines() {
-        let Ok(line) = line else { return };
-        match collapse_progress(&line, done, total) {
-            Some(merged) => dvm_farm::emit_stderr_line(&merged),
-            None => dvm_farm::emit_stderr_line(&line),
-        }
-    }
-}
-
-/// If `line` is a worker `progress:` line, bump the global counter and
-/// return the merged `progress: done/total (unit label)` form — the
-/// worker's own shard tag and per-shard count are dropped, the unit
-/// label (the text in the final parentheses) is kept.
-fn collapse_progress(line: &str, done: &AtomicUsize, total: usize) -> Option<String> {
-    let rest = line.strip_prefix("progress: ")?;
-    let label = rest
-        .rfind('(')
-        .map_or(rest, |open| rest[open + 1..].trim_end_matches(')'));
-    let n = done.fetch_add(1, Ordering::AcqRel) + 1;
-    Some(format!("progress: {n}/{total} ({label})"))
-}
-
 /// Submit the sweep to the `--farm` coordinator and return the parsed
 /// fragments its workers produced, in slice order. The farm ships
 /// fragment *bytes*; they are the same documents `--shard` workers
@@ -587,7 +498,7 @@ fn read_merge_dir(dir: &Path, experiment: &str) -> Result<Vec<Json>, String> {
 
 /// Run a graph sweep under this process's sharding role, returning
 /// merged results in spec order. Workers write their fragment and exit
-/// inside this call; the single/coordinator/farm/merge roles return.
+/// inside this call; the single/farm/merge roles return.
 ///
 /// # Panics
 ///
@@ -622,11 +533,6 @@ pub fn run_sharded_sweep(
             write_fragment(args, experiment, shard, spec.cells.len(), units);
             args.report_cache_stats();
             std::process::exit(0);
-        }
-        ShardRole::Coordinator(count) => {
-            let fragments = spawn_workers(args, experiment, count, spec.unit_count())
-                .unwrap_or_else(|e| fail(experiment, &e));
-            cells_from_fragments(args, experiment, &spec, &fragments)
         }
         ShardRole::Farm => {
             let fragments = farm_fragments(args, experiment, spec.unit_count())
@@ -721,7 +627,7 @@ fn sweep_with_options(
 /// `labels.len()` units — under this process's sharding role, returning
 /// values in unit order. The non-sweep harnesses (Figure 10's CPU grid,
 /// the table studies, the nested-translation study) all route through
-/// here, so every binary honours `--shards`/`--shard`/`--merge-dir`
+/// here, so every binary honours `--shard`/`--merge-dir`/`--farm`
 /// identically.
 ///
 /// # Panics
@@ -751,11 +657,6 @@ where
             write_fragment(args, experiment, shard, labels.len(), units);
             args.report_cache_stats();
             std::process::exit(0);
-        }
-        ShardRole::Coordinator(count) => {
-            let fragments = spawn_workers(args, experiment, count, labels.len())
-                .unwrap_or_else(|e| fail(experiment, &e));
-            grid_from_fragments(args, experiment, labels, &fragments)
         }
         ShardRole::Farm => {
             let fragments = farm_fragments(args, experiment, labels.len())
@@ -821,6 +722,7 @@ mod tests {
     use super::*;
     use dvm_core::{page_table_study, run_graph_experiment, ExperimentConfig};
     use dvm_graph::{rmat, RmatParams};
+    use dvm_sim::DetRng;
 
     fn labeled(units: Vec<(usize, &str, Json)>) -> Vec<(usize, String, Json)> {
         units
@@ -971,41 +873,98 @@ mod tests {
         assert!(merge_fragments(&[], "t", "smoke", 2).is_err());
     }
 
+    /// Fragments reach a merging process from remote farm workers or as
+    /// copied files, so every decoder they pass through — `parse`,
+    /// `merge_fragments`, `report_from_json`, `ShardValue::from_json` —
+    /// must answer truncated or mutated text with `Err`, never a panic.
     #[test]
-    fn interleaved_worker_progress_collapses_into_one_count() {
-        let done = AtomicUsize::new(0);
-        // Two workers over a 4-unit grid, lines arriving interleaved:
-        // shard tags and per-shard counts vanish, labels survive, and
-        // the merged count runs 1..=4 in arrival order.
-        let lines = [
-            "progress: shard 0/2 1/2 (BFS/FR 4K)",
-            "progress: shard 1/2 1/2 (BFS/Wiki 2M)",
-            "progress: shard 1/2 2/2 (CF/NF Ideal)",
-            "progress: shard 0/2 2/2 (SSSP/LJ DVM)",
-        ];
-        let merged: Vec<String> = lines
-            .iter()
-            .filter_map(|line| collapse_progress(line, &done, 4))
+    fn damaged_fragments_fail_cleanly() {
+        const SEED: u64 = 0x5eed_f4a9;
+        const CASES: usize = 3000;
+        let graph = rmat(10, 4, RmatParams::default(), 3);
+        let workload = Workload::Bfs { root: 0 };
+        let mmu = SchemeId::DVM_PE_PLUS;
+        let report =
+            run_graph_experiment(&workload, &graph, &ExperimentConfig::for_mmu(mmu)).unwrap();
+        let graph_frag = fragment_doc(
+            "fig2",
+            "smoke",
+            shard(0, 1),
+            1,
+            labeled(vec![(0, "BFS/FR", Json::Arr(vec![report_json(&report)]))]),
+        )
+        .to_string();
+        let epochs: Vec<dvm_core::ChurnEpoch> = (0..3u32)
+            .map(|epoch| dvm_core::ChurnEpoch {
+                epoch,
+                live_procs: 4,
+                identity_maps: 10,
+                identity_fallbacks: 2,
+                identity_bytes_requested: 1 << 20,
+                identity_bytes_padded: 2 << 20,
+                demand_bytes: 4096,
+                cow_breaks: 3,
+                oom_events: 0,
+                free_frames: 1000,
+                free_runs: 7,
+                largest_run: 512,
+                sub_granule_runs: 1,
+            })
             .collect();
-        assert_eq!(
-            merged,
-            [
-                "progress: 1/4 (BFS/FR 4K)",
-                "progress: 2/4 (BFS/Wiki 2M)",
-                "progress: 3/4 (CF/NF Ideal)",
-                "progress: 4/4 (SSSP/LJ DVM)",
-            ]
-        );
-        // run_grid-style lines (no shard tag) and non-progress chatter.
-        assert_eq!(
-            collapse_progress("progress: 1/9 (1 GiB heap)", &done, 4).as_deref(),
-            Some("progress: 5/4 (1 GiB heap)")
-        );
-        assert_eq!(
-            collapse_progress("dataset-cache: hits=3 misses=0", &done, 4),
-            None
-        );
-        assert_eq!(done.load(Ordering::Acquire), 5);
+        let churn_frag = fragment_doc(
+            "churn",
+            "smoke",
+            shard(0, 1),
+            1,
+            labeled(vec![(0, "dvm-pe", epochs.to_json())]),
+        )
+        .to_string();
+
+        let decode_graph = |text: &str| -> Result<(), String> {
+            let slots = merge_fragments(&[parse(text)?], "fig2", "smoke", 1)?;
+            for obj in slots[0].1.as_arr().ok_or("unit value is not an array")? {
+                report_from_json(obj, mmu, &workload)?;
+            }
+            Ok(())
+        };
+        let decode_churn = |text: &str| -> Result<(), String> {
+            let slots = merge_fragments(&[parse(text)?], "churn", "smoke", 1)?;
+            Vec::<dvm_core::ChurnEpoch>::from_json(&slots[0].1).map(drop)
+        };
+        type Decode<'a> = &'a dyn Fn(&str) -> Result<(), String>;
+        let decoders: [(&str, Decode); 2] =
+            [(&graph_frag, &decode_graph), (&churn_frag, &decode_churn)];
+        let survives = |decode: Decode, text: &str, case: &str| {
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(text).is_ok()));
+            outcome.unwrap_or_else(|_| panic!("seed {SEED:#x} {case}: decoder panicked"))
+        };
+
+        for (text, decode) in decoders {
+            assert!(survives(decode, text, "intact"), "intact fragment rejected");
+            // Every truncation of a fragment is an incomplete document.
+            for cut in 0..text.len() {
+                let case = format!("truncated at {cut}");
+                assert!(!survives(decode, &text[..cut], &case), "{case} accepted");
+            }
+        }
+        let mut rng = DetRng::new(SEED);
+        for case in 0..CASES {
+            let (text, decode) = decoders[case % decoders.len()];
+            let mut bytes = text.as_bytes().to_vec();
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(bytes.len() as u64) as usize;
+                // Printable ASCII keeps the text valid UTF-8.
+                let byte = 0x20 + rng.below(0x5f) as u8;
+                match rng.below(3) {
+                    0 => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    _ => drop(bytes.remove(at)),
+                }
+            }
+            let damaged = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            survives(decode, &damaged, &format!("case {case}"));
+        }
     }
 
     #[test]

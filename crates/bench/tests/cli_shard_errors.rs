@@ -3,12 +3,14 @@
 //! value is malformed (no slash, non-numeric, N = 0, I >= N). A farm
 //! worker builds `--shard I/N` from coordinator-supplied numbers, so a
 //! drifting or binary-specific message would make those failures
-//! needlessly hard to trace.
+//! needlessly hard to trace. The same holds for the other role flags:
+//! `--shards` without `--farm`, and `--farm` combined with a worker role.
 
 use std::process::Command;
 
-/// All ten harness binaries that accept the shared CLI.
+/// All eleven harness binaries that accept the shared CLI.
 const BINS: &[(&str, &str)] = &[
+    ("churn", env!("CARGO_BIN_EXE_churn")),
     ("fig2", env!("CARGO_BIN_EXE_fig2")),
     ("fig8", env!("CARGO_BIN_EXE_fig8")),
     ("fig9", env!("CARGO_BIN_EXE_fig9")),
@@ -68,6 +70,22 @@ fn bad_shard_counts_exit_2_everywhere() {
 }
 
 #[test]
+fn shards_without_farm_exit_2_and_point_at_jobs() {
+    // --shards only sizes a --farm job; parallelism on one host is
+    // --jobs, and the diagnostic says so.
+    let want =
+        "--shards N sets the slice count for --farm; use --jobs N to run in parallel on this host";
+    for (name, exe) in BINS {
+        let (code, stderr) = run(exe, &["--shards", "2"]);
+        assert_eq!(code, Some(2), "{name} --shards 2: expected exit 2");
+        assert!(
+            stderr.contains(want),
+            "{name} --shards 2: stderr {stderr:?} missing {want:?}"
+        );
+    }
+}
+
+#[test]
 fn farm_misuse_exits_2_everywhere() {
     for (name, exe) in BINS {
         let (code, stderr) = run(exe, &["--farm", "nohostport"]);
@@ -79,7 +97,7 @@ fn farm_misuse_exits_2_everywhere() {
         let (code, stderr) = run(exe, &["--farm", "h:1", "--shard", "0/2"]);
         assert_eq!(code, Some(2), "{name} --farm+--shard: expected exit 2");
         assert!(
-            stderr.contains("--farm cannot be combined"),
+            stderr.contains("--shard, --merge-dir and --farm are mutually exclusive"),
             "{name}: stderr {stderr:?}"
         );
     }

@@ -1,7 +1,8 @@
-//! The sharding contract, end to end over real binaries: an N-shard run
-//! produces byte-identical stdout and `--json` output to a serial run,
-//! whether the shards are spawned by a coordinator (`--shards N`) or run
-//! by hand and merged later (`--shard I/N` + `--merge-dir`).
+//! The sharding contract, end to end over real binaries: N shards run by
+//! hand (`--shard I/N`) and merged later (`--merge-dir`) produce stdout
+//! and `--json` output byte-identical to a serial run. The same fragments
+//! shipped through a live farm are checked by the farm crate's
+//! `farm_loopback` test.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -27,49 +28,28 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
-#[test]
-fn fig2_sharded_runs_match_serial_byte_for_byte() {
-    let exe = env!("CARGO_BIN_EXE_fig2");
-    let dir = scratch("fig2");
-    let serial_json = dir.join("serial.json");
-    let serial = run(
-        exe,
-        &[
-            "--scale",
-            "smoke",
-            "--jobs",
-            "1",
-            "--json",
-            serial_json.to_str().unwrap(),
-        ],
-    );
-
-    for shards in ["2", "3"] {
-        let sharded_json = dir.join(format!("sharded{shards}.json"));
-        let sharded = run(
-            exe,
-            &[
-                "--scale",
-                "smoke",
-                "--jobs",
-                "1",
-                "--shards",
-                shards,
-                "--json",
-                sharded_json.to_str().unwrap(),
-            ],
-        );
-        assert_eq!(
-            serial.stdout, sharded.stdout,
-            "stdout of --shards {shards} differs from serial"
-        );
-        assert_eq!(
-            read(&serial_json),
-            read(&sharded_json),
-            "--json of --shards {shards} differs from serial"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
+/// Run `count` `experiment` workers by hand — the multi-machine
+/// workflow — each with `common` plus its `--shard I/N` slice, writing
+/// fragments under their canonical names into `frags`. Returns each
+/// worker's output; none of them prints to stdout.
+fn run_manual_shards(
+    exe: &str,
+    experiment: &str,
+    common: &[&str],
+    count: usize,
+    frags: &Path,
+) -> Vec<Output> {
+    (0..count)
+        .map(|i| {
+            let out = frags.join(format!("{experiment}_shard{i}of{count}.json"));
+            let slice = format!("{i}/{count}");
+            let mut args = common.to_vec();
+            args.extend(["--shard", &slice, "--shard-out", out.to_str().unwrap()]);
+            let worker = run(exe, &args);
+            assert!(worker.stdout.is_empty(), "worker stdout should be empty");
+            worker
+        })
+        .collect()
 }
 
 #[test]
@@ -89,46 +69,40 @@ fn fig2_manual_shards_merge_through_merge_dir() {
         ],
     );
 
-    // Run the two workers by hand (multi-machine workflow), sharing an
-    // on-disk dataset cache, then merge their fragments.
-    let frags = dir.join("frags");
+    // Two and three shards (an even and an uneven split of the grid),
+    // all workers sharing one on-disk dataset cache.
     let cache = dir.join("cache");
-    for i in 0..2 {
-        let out = frags.join(format!("fig2_shard{i}of2.json"));
-        let worker = run(
+    let common = ["--scale", "smoke", "--cache-dir", cache.to_str().unwrap()];
+    for count in [2, 3] {
+        let frags = dir.join(format!("frags{count}"));
+        for worker in run_manual_shards(exe, "fig2", &common, count, &frags) {
+            assert!(
+                String::from_utf8_lossy(&worker.stderr).contains("dataset-cache:"),
+                "worker stderr should report cache stats"
+            );
+        }
+        let merged_json = dir.join(format!("merged{count}.json"));
+        let merged = run(
             exe,
             &[
                 "--scale",
                 "smoke",
-                "--shard",
-                &format!("{i}/2"),
-                "--shard-out",
-                out.to_str().unwrap(),
-                "--cache-dir",
-                cache.to_str().unwrap(),
+                "--merge-dir",
+                frags.to_str().unwrap(),
+                "--json",
+                merged_json.to_str().unwrap(),
             ],
         );
-        // Worker stdout carries no banner; cache stats go to stderr.
-        assert!(worker.stdout.is_empty(), "worker stdout should be empty");
-        assert!(
-            String::from_utf8_lossy(&worker.stderr).contains("dataset-cache:"),
-            "worker stderr should report cache stats"
+        assert_eq!(
+            serial.stdout, merged.stdout,
+            "stdout of {count} merged shards differs from serial"
+        );
+        assert_eq!(
+            read(&serial_json),
+            read(&merged_json),
+            "--json of {count} merged shards differs from serial"
         );
     }
-    let merged_json = dir.join("merged.json");
-    let merged = run(
-        exe,
-        &[
-            "--scale",
-            "smoke",
-            "--merge-dir",
-            frags.to_str().unwrap(),
-            "--json",
-            merged_json.to_str().unwrap(),
-        ],
-    );
-    assert_eq!(serial.stdout, merged.stdout);
-    assert_eq!(read(&serial_json), read(&merged_json));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -140,13 +114,20 @@ fn grid_binary_shards_match_serial_byte_for_byte() {
     let dir = scratch("virt");
     let serial_json = dir.join("serial.json");
     let serial = run(exe, &["--json", serial_json.to_str().unwrap()]);
-    let sharded_json = dir.join("sharded.json");
-    let sharded = run(
+    let frags = dir.join("frags");
+    run_manual_shards(exe, "virt", &[], 2, &frags);
+    let merged_json = dir.join("merged.json");
+    let merged = run(
         exe,
-        &["--shards", "2", "--json", sharded_json.to_str().unwrap()],
+        &[
+            "--merge-dir",
+            frags.to_str().unwrap(),
+            "--json",
+            merged_json.to_str().unwrap(),
+        ],
     );
-    assert_eq!(serial.stdout, sharded.stdout);
-    assert_eq!(read(&serial_json), read(&sharded_json));
+    assert_eq!(serial.stdout, merged.stdout);
+    assert_eq!(read(&serial_json), read(&merged_json));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

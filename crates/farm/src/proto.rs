@@ -97,8 +97,9 @@ pub fn write_frame(w: &mut impl Write, header: &str, body: &[u8]) -> io::Result<
 ///
 /// # Errors
 ///
-/// `UnexpectedEof` on a cleanly closed connection, `InvalidData` on a
-/// malformed or oversized length prefix, otherwise the stream's error.
+/// `UnexpectedEof` on a connection closed before or inside a frame,
+/// `InvalidData` on a malformed or oversized length prefix, otherwise
+/// the stream's error.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
     let mut first = [0u8; 1];
     r.read_exact(&mut first)?;
@@ -133,8 +134,16 @@ pub fn read_frame_resume(first: u8, r: &mut impl Read) -> io::Result<Frame> {
     if len == 0 || len > MAX_FRAME {
         return Err(bad("frame length out of range"));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The buffer grows only as payload bytes arrive: a peer that
+    // announces MAX_FRAME and sends nothing pins no memory.
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed inside a frame payload",
+        ));
+    }
     let split = payload
         .iter()
         .position(|&b| b == b'\n')
@@ -332,13 +341,72 @@ mod tests {
     }
 
     #[test]
-    fn progress_labels_extract_like_the_shard_relay() {
+    fn progress_labels_are_the_final_parenthesized_text() {
         assert_eq!(
             progress_label("progress: shard 0/2 1/2 (BFS/FR 4K)"),
             Some("BFS/FR 4K")
         );
         assert_eq!(progress_label("progress: 3/9"), Some("3/9"));
         assert_eq!(progress_label("dataset-cache: hits=1"), None);
+    }
+
+    /// A fixed-seed xorshift64 stream (this crate has no dependencies, so
+    /// the simulator's `DetRng` is not available here).
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % bound as u64) as usize
+        }
+    }
+
+    /// Frames arrive from any peer that can connect, so the frame reader
+    /// and the handshake parser must answer every truncation and byte
+    /// flip of a valid frame with `Ok` or `Err` — never a panic.
+    #[test]
+    fn damaged_frames_never_panic() {
+        const SEED: u64 = 0x00d1_5ea5_e5f4_a4e1;
+        const CASES: usize = 20_000;
+        let mut frames = Vec::new();
+        for (header, body) in [
+            ("DONE 3 1", &b"fragment bytes"[..]),
+            ("READY", b""),
+            ("FRAG 0 2", b"line one\nline two\n\x00\xff"),
+            ("HELLO dvmfarm/1 worker w1", b""),
+        ] {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, header, body).unwrap();
+            frames.push(wire);
+        }
+        let decode = |wire: &[u8]| {
+            if let Ok(frame) = read_frame(&mut &wire[..]) {
+                let _ = parse_hello(&frame.header);
+            }
+        };
+        for wire in &frames {
+            for cut in 0..wire.len() {
+                assert!(
+                    read_frame(&mut &wire[..cut]).is_err(),
+                    "truncation at {cut} of {wire:?} accepted"
+                );
+            }
+        }
+        let mut rng = XorShift(SEED);
+        for case in 0..CASES {
+            let mut wire = frames[case % frames.len()].clone();
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(wire.len());
+                wire[at] ^= 1 << rng.below(8);
+            }
+            let outcome = std::panic::catch_unwind(|| decode(&wire));
+            assert!(
+                outcome.is_ok(),
+                "seed {SEED:#x} case {case}: panic on {wire:?}"
+            );
+        }
     }
 
     #[test]

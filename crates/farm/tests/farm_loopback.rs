@@ -100,8 +100,16 @@ fn wait_for_line(log: &Mutex<Vec<String>>, needle: &str, timeout: Duration) -> O
     None
 }
 
-fn start_worker(addr: &str, name: &str, bins: &Path, scratch: &Path) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_farmworker"))
+/// Start a `farmworker` and wait until farmd logs its registration, so a
+/// job submitted next counts it among the connected workers.
+fn start_worker(
+    addr: &str,
+    log: &Mutex<Vec<String>>,
+    name: &str,
+    bins: &Path,
+    scratch: &Path,
+) -> Child {
+    let child = Command::new(env!("CARGO_BIN_EXE_farmworker"))
         .args([
             "--connect",
             addr,
@@ -114,7 +122,10 @@ fn start_worker(addr: &str, name: &str, bins: &Path, scratch: &Path) -> Child {
         ])
         .stderr(Stdio::null())
         .spawn()
-        .expect("farmworker spawned")
+        .expect("farmworker spawned");
+    let registered = format!("worker '{name}' connected");
+    wait_for_line(log, &registered, Duration::from_secs(30)).expect("farmworker registered");
+    child
 }
 
 const FIG2_ARGS: &[&str] = &["--scale", "smoke", "--datasets", "FR", "--jobs", "1"];
@@ -137,10 +148,12 @@ fn farm_run_is_byte_identical_to_serial() {
     let dir = scratch("loopback");
     let (serial, serial_json) = fig2_serial(&fig2, &dir);
 
-    let (farmd, addr, _log) = start_farmd(&[]);
+    let (farmd, addr, log) = start_farmd(&[]);
     let mut reap = Reap(vec![farmd]);
-    reap.0.push(start_worker(&addr, "w1", &bin_dir(), &dir));
-    reap.0.push(start_worker(&addr, "w2", &bin_dir(), &dir));
+    reap.0
+        .push(start_worker(&addr, &log, "w1", &bin_dir(), &dir));
+    reap.0
+        .push(start_worker(&addr, &log, "w2", &bin_dir(), &dir));
 
     // Default slicing: one slice per connected worker.
     let farm_json = dir.join("farm.json");
@@ -217,8 +230,9 @@ fn killing_a_worker_mid_slice_requeues_and_stays_byte_identical() {
 
     let (farmd, addr, log) = start_farmd(&[]);
     let mut reap = Reap(vec![farmd]);
-    reap.0.push(start_worker(&addr, "w1", &bin_dir(), &dir));
-    let w2 = start_worker(&addr, "w2", &decoy_dir, &dir);
+    reap.0
+        .push(start_worker(&addr, &log, "w1", &bin_dir(), &dir));
+    let w2 = start_worker(&addr, &log, "w2", &decoy_dir, &dir);
     reap.0.push(w2);
 
     // Run the farm job on a helper thread; the main thread watches the

@@ -15,7 +15,7 @@
 //! plus one `A` line per present entry.
 //!
 //! Concurrency model — the budget must be safe under the same
-//! multi-process regime as the caches themselves (`--shards N` workers
+//! multi-process regime as the caches themselves (`--farm` workers
 //! sharing one directory):
 //!
 //! * Appends are single `write` calls on an `O_APPEND` handle, so

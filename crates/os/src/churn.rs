@@ -17,7 +17,7 @@
 //! Every draw comes from one seeded generator and every collection the
 //! driver iterates is ordered, so a run is a pure function of its
 //! [`ChurnConfig`] — the property the `churn` bench binary's byte-identity
-//! contract (serial == `--jobs N` == `--shards N`) rests on.
+//! contract (serial == `--jobs N` == `--farm`) rests on.
 
 use crate::os::{MapFlavor, Os, OsConfig};
 use crate::process::Pid;

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, build, the tier-1 test suite, the
-# benchmark's self-test, the multi-process shard-merge determinism check,
-# and a golden-result diff.
+# benchmark's self-test, the multi-process determinism checks through a
+# loopback sweep farm, and a golden-result diff.
 # Everything here runs with no network and no vendored crates — the
 # default workspace has zero external dependencies by design (see
 # DESIGN.md, "Sweep engine & hermetic build").
 #
 #   scripts/ci.sh
 #
-# The extended property/bench suite (proptest, criterion) lives in
-# exttests/ and is NOT run here because it needs crates.io access:
+# The extended property-test suite (proptest) lives in exttests/ and is
+# NOT run here because it needs crates.io access:
 #
 #   cargo test --manifest-path exttests/Cargo.toml
 set -euo pipefail
@@ -39,28 +39,13 @@ echo "== benchmark self-test (perfbench)"
 # renaming an item it uses must fail here rather than in a benchmark run.
 cargo test --release --manifest-path perfbench/Cargo.toml
 
-echo "== shard-merge determinism (fig2, quick scale, 2 shards)"
-# A coordinator-merged 2-shard run must be byte-identical to the serial
-# run — text table and JSON document alike. The shared dataset cache
-# means the second run skips regeneration entirely.
+echo "== loopback sweep farm (farmd + 2 workers, up until the script ends)"
+# Every multi-process gate below submits its grid to this one farm.
+# farmd binds port 0; its actual address is scraped from the log line it
+# prints once bound.
 SHARD_TMP=$(mktemp -d)
 FARM_PIDS=""
 trap 'kill $FARM_PIDS 2> /dev/null || true; rm -rf "$SHARD_TMP"' EXIT
-target/release/fig2 --scale quick --datasets FR --jobs 1 \
-    --cache-dir "$SHARD_TMP/cache" \
-    --json "$SHARD_TMP/serial.json" > "$SHARD_TMP/serial.txt"
-target/release/fig2 --scale quick --datasets FR --jobs 1 --shards 2 \
-    --cache-dir "$SHARD_TMP/cache" \
-    --json "$SHARD_TMP/sharded.json" > "$SHARD_TMP/sharded.txt"
-cmp "$SHARD_TMP/serial.txt" "$SHARD_TMP/sharded.txt"
-cmp "$SHARD_TMP/serial.json" "$SHARD_TMP/sharded.json"
-echo "fig2 sharded output is byte-identical to serial"
-
-echo "== farm determinism (fig2 through farmd + 2 workers on loopback)"
-# The same sweep submitted to a live coordinator with two registered
-# workers must also be byte-identical to the serial run above. farmd
-# binds port 0; its actual address is scraped from the log line it
-# prints once bound.
 target/release/farmd --listen 127.0.0.1:0 2> "$SHARD_TMP/farmd.log" &
 FARM_PIDS="$!"
 FARM_ADDR=""
@@ -76,13 +61,19 @@ FARM_PIDS="$FARM_PIDS $!"
 target/release/farmworker --connect "$FARM_ADDR" --name ci-w2 \
     --bin-dir target/release --scratch "$SHARD_TMP" 2> /dev/null &
 FARM_PIDS="$FARM_PIDS $!"
+
+echo "== farm determinism (fig2, quick scale, 2 slices)"
+# A 2-slice farm run must be byte-identical to the serial run — text
+# table and JSON document alike. The shared dataset cache means the farm
+# run skips regeneration entirely.
+target/release/fig2 --scale quick --datasets FR --jobs 1 \
+    --cache-dir "$SHARD_TMP/cache" \
+    --json "$SHARD_TMP/serial.json" > "$SHARD_TMP/serial.txt"
 target/release/fig2 --scale quick --datasets FR --jobs 1 --shards 2 \
     --farm "$FARM_ADDR" --cache-dir "$SHARD_TMP/cache" \
     --json "$SHARD_TMP/farm.json" > "$SHARD_TMP/farm.txt"
 cmp "$SHARD_TMP/serial.txt" "$SHARD_TMP/farm.txt"
 cmp "$SHARD_TMP/serial.json" "$SHARD_TMP/farm.json"
-kill $FARM_PIDS 2> /dev/null || true
-FARM_PIDS=""
 echo "fig2 farm output is byte-identical to serial"
 
 echo "== cache byte budget (fig2, quick scale, budget below working set)"
@@ -155,45 +146,45 @@ t1=$(now_ms)
 FIG11_MS=$((t1 - t0))
 scripts/diff_results.sh "$SHARD_TMP" fig11
 
-echo "== shard-merge determinism (fig11, quick scale, 2 shards)"
+echo "== farm determinism (fig11, quick scale, one slice per worker)"
 # The new binary must honour the same contract as the old ones: a
-# coordinator-merged run is byte-identical to a serial one (the warm
-# report cache makes both replays, so this checks the merge plumbing).
+# farm-merged run is byte-identical to a serial one (the warm report
+# cache makes both replays, so this checks the merge plumbing).
 target/release/fig11 --scale quick --datasets FR --jobs 1 \
     --cache-dir results/.dataset-cache \
     --report-cache "$SHARD_TMP/report-cache" \
     --json "$SHARD_TMP/fig11_serial.json" > "$SHARD_TMP/fig11_serial.txt"
-target/release/fig11 --scale quick --datasets FR --jobs 1 --shards 2 \
-    --cache-dir results/.dataset-cache \
+target/release/fig11 --scale quick --datasets FR --jobs 1 \
+    --farm "$FARM_ADDR" --cache-dir results/.dataset-cache \
     --report-cache "$SHARD_TMP/report-cache" \
-    --json "$SHARD_TMP/fig11_sharded.json" > "$SHARD_TMP/fig11_sharded.txt"
-cmp "$SHARD_TMP/fig11_serial.txt" "$SHARD_TMP/fig11_sharded.txt"
-cmp "$SHARD_TMP/fig11_serial.json" "$SHARD_TMP/fig11_sharded.json"
+    --json "$SHARD_TMP/fig11_farm.json" > "$SHARD_TMP/fig11_farm.txt"
+cmp "$SHARD_TMP/fig11_serial.txt" "$SHARD_TMP/fig11_farm.txt"
+cmp "$SHARD_TMP/fig11_serial.json" "$SHARD_TMP/fig11_farm.json"
 target/release/fig11 --scale quick --datasets FR --jobs 2 \
     --cache-dir results/.dataset-cache \
     --report-cache "$SHARD_TMP/report-cache" \
     --json "$SHARD_TMP/fig11_jobs2.json" > "$SHARD_TMP/fig11_jobs2.txt"
 cmp "$SHARD_TMP/fig11_serial.txt" "$SHARD_TMP/fig11_jobs2.txt"
 cmp "$SHARD_TMP/fig11_serial.json" "$SHARD_TMP/fig11_jobs2.json"
-echo "fig11 sharded and threaded outputs are byte-identical to serial"
+echo "fig11 farm and threaded outputs are byte-identical to serial"
 
 echo "== churn time-series (quick scale: golden diff + determinism)"
 # The churn trajectory is a pure function of its config: the quick-scale
-# document must match its committed golden exactly, and a 2-shard or
-# 2-thread run must be byte-identical to serial (each config is one unit,
-# so sharding splits the three configs across workers).
+# document must match its committed golden exactly, and a 3-slice farm
+# run or a 2-thread run must be byte-identical to serial (each config is
+# one unit, so the farm splits the three configs across its workers).
 target/release/churn --scale quick --jobs 1 \
     --json "$SHARD_TMP/churn_quick.json" > "$SHARD_TMP/churn_serial.txt"
 scripts/diff_results.sh "$SHARD_TMP" churn
-target/release/churn --scale quick --jobs 1 --shards 2 \
-    --json "$SHARD_TMP/churn_sharded.json" > "$SHARD_TMP/churn_sharded.txt"
-cmp "$SHARD_TMP/churn_serial.txt" "$SHARD_TMP/churn_sharded.txt"
-cmp "$SHARD_TMP/churn_quick.json" "$SHARD_TMP/churn_sharded.json"
+target/release/churn --scale quick --jobs 1 --shards 3 --farm "$FARM_ADDR" \
+    --json "$SHARD_TMP/churn_farm.json" > "$SHARD_TMP/churn_farm.txt"
+cmp "$SHARD_TMP/churn_serial.txt" "$SHARD_TMP/churn_farm.txt"
+cmp "$SHARD_TMP/churn_quick.json" "$SHARD_TMP/churn_farm.json"
 target/release/churn --scale quick --jobs 2 \
     --json "$SHARD_TMP/churn_jobs2.json" > "$SHARD_TMP/churn_jobs2.txt"
 cmp "$SHARD_TMP/churn_serial.txt" "$SHARD_TMP/churn_jobs2.txt"
 cmp "$SHARD_TMP/churn_quick.json" "$SHARD_TMP/churn_jobs2.json"
-echo "churn sharded and threaded outputs are byte-identical to serial"
+echo "churn farm and threaded outputs are byte-identical to serial"
 
 python3 scripts/bench_trend.py ci "$FIG8_MS" "$FIG9_MS" "$FIG11_MS"
 

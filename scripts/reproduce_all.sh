@@ -2,18 +2,21 @@
 # Regenerate every table and figure of the paper into results/, then refresh
 # EXPERIMENTS.md. Usage:
 #
-#   scripts/reproduce_all.sh [smoke|quick|paper|full] [--jobs N] [--shards N]
-#       [--farm HOST:PORT] [--cache-max-bytes N] [--report-cache-max-bytes N]
+#   scripts/reproduce_all.sh [smoke|quick|paper|full] [--jobs N]
+#       [--farm HOST:PORT [--shards N]] [--cache-max-bytes N]
+#       [--report-cache-max-bytes N]
 #
 # quick: minutes. paper: ~1-2 hours on one core (Figure 8/9 dominate).
 # full: unscaled Table 3 datasets; hours and ~16 GiB of host RAM.
 # smoke: seconds; only checks the machinery.
 #
 # --jobs N fans each harness's grid across N worker threads (0 = all
-# cores); --shards N fans it across N worker processes; --farm HOST:PORT
-# submits every grid to a running farmd coordinator instead (with
-# --shards N as the requested slice count). Output is byte-identical to
-# a serial run any way; only wall-clock changes.
+# cores), the way to run in parallel on one host; --farm HOST:PORT
+# submits every grid to a running farmd coordinator and its workers
+# instead, with --shards N as the requested slice count (default: one
+# slice per connected worker; --shards without --farm is an error).
+# Output is byte-identical to a serial run any way; only wall-clock
+# changes.
 # Generated datasets are cached under results/.dataset-cache, so repeat
 # runs skip regeneration. Figures 2, 8, 9 and 11 sweep overlapping unit
 # grids, so they share a per-invocation report cache (results/.report-cache, cleared
@@ -42,9 +45,13 @@ while [[ $# -gt 0 ]]; do
         --farm) FARM="$2"; shift 2 ;;
         --cache-max-bytes) CACHE_MAX="$2"; shift 2 ;;
         --report-cache-max-bytes) REPORT_CACHE_MAX="$2"; shift 2 ;;
-        *) echo "usage: $0 [smoke|quick|paper|full] [--jobs N] [--shards N] [--farm HOST:PORT] [--cache-max-bytes N] [--report-cache-max-bytes N]" >&2; exit 2 ;;
+        *) echo "usage: $0 [smoke|quick|paper|full] [--jobs N] [--farm HOST:PORT [--shards N]] [--cache-max-bytes N] [--report-cache-max-bytes N]" >&2; exit 2 ;;
     esac
 done
+if [[ $SHARDS -gt 0 && -z $FARM ]]; then
+    echo "--shards N sets the slice count for --farm; use --jobs N to run in parallel on this host" >&2
+    exit 2
+fi
 
 B=target/release
 CACHE_DIR=results/.dataset-cache
@@ -60,7 +67,7 @@ suffix="$SCALE"
 BENCH_ROWS=""
 now_ms() { python3 -c 'import time; print(int(time.time()*1000))'; }
 # Sum a `key=` field across every stderr stats line with the given
-# prefix (each shard worker prints its own dataset-cache/report-cache
+# prefix (each farm worker prints its own dataset-cache/report-cache
 # line).
 cache_count() { # prefix, key, stderr-file
     awk -v prefix="^$1:" -v key="$2" '$0 ~ prefix {
