@@ -209,13 +209,17 @@ impl fmt::Display for Json {
 /// parser, which makes `parse(render(x))` value-identical for every
 /// document this crate emits.
 ///
+/// Arrays and objects may nest at most [`MAX_DEPTH`] deep, so hostile
+/// input (a farm fragment, a damaged cache entry) fails with an error
+/// instead of overflowing the stack.
+///
 /// # Errors
 ///
 /// Returns a message with the byte offset of the first syntax error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -238,10 +242,18 @@ fn expect_byte(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Deepest array/object nesting [`parse`] accepts. Every document this
+/// crate emits nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse one value whose enclosing containers nest `depth` deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut pairs = Vec::new();
@@ -255,7 +267,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect_byte(bytes, pos, b':')?;
-                pairs.push((key, parse_value(bytes, pos)?));
+                pairs.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -276,7 +288,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -582,6 +594,7 @@ impl FigureJson {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvm_sim::DetRng;
 
     #[test]
     fn golden_document() {
@@ -673,6 +686,72 @@ mod tests {
     fn parse_rejects_malformed_input() {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        // Regression test: the recursive parser used to overflow the
+        // stack (SIGABRT, no Result) on a long run of '['.
+        let msg = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(
+            msg,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(parse(&past_cap).unwrap_err().contains("nesting deeper"));
+    }
+
+    #[test]
+    fn damaged_documents_parse_or_fail_cleanly() {
+        // Fuzz the parser on its own: every truncation of a rendered
+        // document, then seeded byte replace/insert/delete cases. Each
+        // must return Ok or Err, never panic.
+        const SEED: u64 = 0x75_0A5E;
+        const CASES: usize = 2000;
+        let mut fig = FigureJson::new("fuzz", "quick", &["a", "b"]);
+        fig.row(
+            "BFS/FR \"x\"\n",
+            vec![Json::Float(-2.5e-9), Json::UInt(u64::MAX)],
+        );
+        fig.row("neg", vec![Json::Int(-3), Json::Null]);
+        fig.summary(
+            "nested",
+            Json::obj([(
+                "flags",
+                Json::Arr(vec![Json::Bool(true), Json::Bool(false)]),
+            )]),
+        );
+        let text = fig.render();
+        let survives = |text: &str, case: &str| {
+            std::panic::catch_unwind(|| parse(text).is_ok())
+                .unwrap_or_else(|_| panic!("seed {SEED:#x} {case}: parser panicked"))
+        };
+        assert!(survives(&text, "intact"));
+        for cut in 0..text.len() {
+            // Only the trailing newline may go; anything more is an
+            // incomplete document.
+            let parsed = survives(&text[..cut], &format!("truncated at {cut}"));
+            assert_eq!(parsed, cut == text.len() - 1, "truncated at {cut}");
+        }
+        let mut rng = DetRng::new(SEED);
+        for case in 0..CASES {
+            let mut bytes = text.as_bytes().to_vec();
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(bytes.len() as u64) as usize;
+                // Printable ASCII keeps the text valid UTF-8.
+                let byte = 0x20 + rng.below(0x5f) as u8;
+                match rng.below(3) {
+                    0 => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    _ => drop(bytes.remove(at)),
+                }
+            }
+            let damaged = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            survives(&damaged, &format!("case {case}"));
         }
     }
 

@@ -19,24 +19,24 @@
 //! Entries are keyed by the full unit identity (workload with all its
 //! parameters, dataset, shrink divisor, MMU scheme); the key is stored
 //! inside the entry and cross-checked on load, so a filename collision
-//! degrades to a miss, never a wrong report. File names cap the
-//! readable slug at [`MAX_SLUG_CHARS`] — the FNV-1a hash plus the
-//! in-entry cross-check carry identity — so an arbitrarily long
-//! parameter set can never overflow the 255-byte file-name limit and
-//! silently disable the cache. Writes go through a temp-file rename
-//! with a per-process *and* per-call tmp name
-//! ([`dvm_graph::unique_tmp_path`]), so neither shard workers nor
-//! `--jobs N` threads racing on one entry ever publish a torn file.
-//! `--report-cache-max-bytes` bounds the directory through the shared
-//! [`CacheBudget`] LRU layer; an evicted entry re-simulates on its next
-//! request, so output bytes never change. The cache is meant to live
-//! for one `reproduce_all.sh` invocation (the script clears it up
-//! front): entries do not try to survive simulator changes.
+//! degrades to a miss, never a wrong report. An FNV-1a checksum of the
+//! report's rendering rides beside it, so a damaged entry that still
+//! parses is a miss too. File names cap the readable slug at
+//! [`MAX_SLUG_CHARS`] — the FNV-1a hash plus the in-entry cross-check
+//! carry identity — so an arbitrarily long parameter set can never
+//! overflow the 255-byte file-name limit and silently disable the
+//! cache. Writes go through a temp-file rename with a per-process *and*
+//! per-call tmp name ([`dvm_graph::unique_tmp_path`]), so neither shard
+//! workers nor `--jobs N` threads racing on one entry ever publish a
+//! torn file. The directory is unbounded — entries are well under a
+//! kilobyte each — and is meant to live for one `reproduce_all.sh`
+//! invocation (the script clears it up front): entries do not try to
+//! survive simulator changes.
 
 use crate::shard::report_from_json;
 use crate::{parse, report_json, validate_header, Json, JsonDoc};
 use dvm_core::{GraphRunReport, ReportStore, UnitKey};
-use dvm_graph::{unique_tmp_path, CacheBudget};
+use dvm_graph::unique_tmp_path;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,46 +49,24 @@ pub const MAX_SLUG_CHARS: usize = 160;
 #[derive(Debug)]
 pub struct ReportCache {
     dir: PathBuf,
-    budget: CacheBudget,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl ReportCache {
-    /// Open (creating if needed) an unbounded report cache in `dir`.
+    /// Open (creating if needed) a report cache in `dir`.
     ///
     /// # Errors
     ///
     /// Propagates the directory-creation failure.
     pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        Self::with_budget(dir, None)
-    }
-
-    /// Open a report cache bounded to `max_bytes` of entries (`None` =
-    /// unbounded).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the directory-creation failure.
-    pub fn with_budget(dir: impl Into<PathBuf>, max_bytes: Option<u64>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(Self {
-            budget: CacheBudget::new(dir.clone(), ".json", max_bytes),
             dir,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         })
-    }
-
-    /// The eviction layer (always present; inert without a budget).
-    pub fn budget(&self) -> &CacheBudget {
-        &self.budget
-    }
-
-    /// Entries this process evicted to stay under the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.budget.evictions()
     }
 
     /// The backing directory.
@@ -129,11 +107,7 @@ impl ReportCache {
     /// form can never exceed the 255-byte file-name limit (which would
     /// make every store fail silently and the cache never hit).
     fn file_name_for(text: &str) -> String {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for byte in text.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let hash = fnv1a(text);
         let slug: String = text
             .chars()
             .take(MAX_SLUG_CHARS)
@@ -155,35 +129,30 @@ impl ReportStore for ReportCache {
             let text = std::fs::read_to_string(&path).ok()?;
             let doc = parse(&text).ok()?;
             validate_header(&doc, Some("report-cache")).ok()?;
+            let report = doc.get("report")?;
             if doc.expect_str("kind") != Ok("unit-report")
                 || doc.expect_str("key") != Ok(&Self::key_string(key))
+                || doc.expect_str("checksum") != Ok(&report_checksum(report))
             {
                 return None;
             }
-            report_from_json(doc.get("report")?, key.mmu, key.workload).ok()
+            report_from_json(report, key.mmu, key.workload).ok()
         })();
-        match &loaded {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if let (Some(name), Ok(meta)) = (
-                    path.file_name().and_then(|n| n.to_str()),
-                    std::fs::metadata(&path),
-                ) {
-                    self.budget.record_access(name, meta.len());
-                }
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-        };
+        if loaded.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
         loaded
     }
 
     fn store(&self, key: &UnitKey<'_>, report: &GraphRunReport) {
+        let report = report_json(report);
         let doc = JsonDoc::new("report-cache")
             .field("kind", Json::Str("unit-report".to_string()))
             .field("key", Json::Str(Self::key_string(key)))
-            .field("report", report_json(report))
+            .field("checksum", Json::Str(report_checksum(&report)))
+            .field("report", report)
             .build();
         let path = self.entry_path(key);
         let text = format!("{doc}\n");
@@ -196,13 +165,26 @@ impl ReportStore for ReportCache {
         let written = std::fs::write(&tmp, &text).and_then(|()| std::fs::rename(&tmp, &path));
         if written.is_err() {
             let _ = std::fs::remove_file(&tmp);
-            return;
         }
-        if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-            self.budget.record_access(name, text.len() as u64);
-        }
-        self.budget.enforce();
     }
+}
+
+/// 64-bit FNV-1a over `text`.
+fn fnv1a(text: &str) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for byte in text.bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+/// The FNV-1a hash of a report's rendering, as stored beside it. A
+/// parsed report re-renders to the bytes it was parsed from, so a
+/// damaged digit that still parses — `10773` read back as `710773` —
+/// fails this check instead of replaying a wrong number.
+fn report_checksum(report: &Json) -> String {
+    format!("{:016x}", fnv1a(&report.to_string()))
 }
 
 #[cfg(test)]
@@ -212,6 +194,7 @@ mod tests {
         run_graph_experiment, Dataset, ExperimentConfig, SchemeId, SweepRunner, SweepSpec, Workload,
     };
     use dvm_graph::rmat;
+    use dvm_sim::DetRng;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -314,36 +297,63 @@ mod tests {
     }
 
     #[test]
-    fn budget_bounds_the_directory_and_evicts_lru_reports() {
-        let dir = tmp_dir("budget");
+    fn damaged_entries_load_as_misses_or_the_original() {
+        // Fuzz the entry reader: every truncation, then seeded byte
+        // replace/insert/delete cases. A damaged entry must load as a
+        // miss or as a report serializing to the original bytes, and
+        // no case may panic.
+        const SEED: u64 = 0x2E_9C4C;
+        const CASES: usize = 512;
+        let dir = tmp_dir("fuzz");
+        let cache = ReportCache::new(&dir).unwrap();
         let graph = rmat(10, 4, dvm_graph::RmatParams::default(), 3);
         let workload = Workload::Bfs { root: 0 };
         let report = run_graph_experiment(
             &workload,
             &graph,
-            &ExperimentConfig::for_mmu(SchemeId::IDEAL),
+            &ExperimentConfig::for_mmu(SchemeId::DVM_PE_PLUS),
         )
         .unwrap();
-        let key = |divisor| UnitKey {
+        let key = UnitKey {
             workload: &workload,
             dataset: Dataset::Flickr,
-            divisor,
-            mmu: SchemeId::IDEAL,
+            divisor: 64,
+            mmu: SchemeId::DVM_PE_PLUS,
         };
-        // Same report, same-length keys: every entry has the same size.
-        let sizer = ReportCache::new(&dir).unwrap();
-        sizer.store(&key(64), &report);
-        let entry_bytes = std::fs::metadata(sizer.entry_path(&key(64))).unwrap().len();
-
-        let cache = ReportCache::with_budget(&dir, Some(2 * entry_bytes)).unwrap();
-        cache.store(&key(65), &report);
-        cache.store(&key(66), &report);
-        assert_eq!(cache.evictions(), 1, "third entry evicts the LRU one");
-        assert!(cache.budget().used_bytes() <= 2 * entry_bytes);
-        // The oldest key (64) was evicted; the recent two still hit.
-        assert!(cache.load(&key(64)).is_none());
-        assert!(cache.load(&key(65)).is_some());
-        assert!(cache.load(&key(66)).is_some());
+        cache.store(&key, &report);
+        let path = cache.entry_path(&key);
+        let entry = std::fs::read(&path).unwrap();
+        let expected = report_json(&report);
+        let check = |damaged: &[u8], case: &str| {
+            std::fs::write(&path, damaged).unwrap();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.load(&key).map(|loaded| report_json(&loaded))
+            }));
+            let loaded = outcome.unwrap_or_else(|_| panic!("seed {SEED:#x} {case}: load panicked"));
+            if let Some(json) = loaded {
+                assert_eq!(
+                    json, expected,
+                    "seed {SEED:#x} {case}: loaded a different report"
+                );
+            }
+        };
+        for cut in 0..entry.len() {
+            check(&entry[..cut], &format!("truncated at {cut}"));
+        }
+        let mut rng = DetRng::new(SEED);
+        for case in 0..CASES {
+            let mut bytes = entry.clone();
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(bytes.len() as u64) as usize;
+                let byte = rng.below(256) as u8;
+                match rng.below(3) {
+                    0 => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    _ => drop(bytes.remove(at)),
+                }
+            }
+            check(&bytes, &format!("case {case}"));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

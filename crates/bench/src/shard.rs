@@ -18,11 +18,10 @@
 //! local parallelism is threads").
 //!
 //! Farm workers receive the submitting process's cache flags verbatim
-//! (see [`BenchArgs::farm_argv`]), including `--cache-max-bytes` and
-//! `--report-cache-max-bytes`: every worker enforces the same LRU byte
-//! budget on the shared cache directories. Eviction is safe under this
-//! concurrency because a worker that loses an entry mid-sweep just
-//! regenerates it — budgets never change sweep output bytes.
+//! (see [`BenchArgs::farm_argv`]), so workers on one host share its
+//! cache directories. That is safe because both caches publish entries
+//! by atomic rename and treat any unreadable entry as a miss: a worker
+//! never loads a torn entry, and caches never change sweep output bytes.
 //!
 //! Reconstructed [`GraphRunReport`]s carry only the fields
 //! [`report_json`] serializes; `engine_cycles`, `walker_cycles` and the
@@ -513,7 +512,7 @@ pub fn run_sharded_sweep(
     match args.role() {
         ShardRole::Single => {
             let cells = sweep_with_options(args, &spec, None);
-            args.report_cache_stats();
+            args.print_cache_counts();
             cells
         }
         ShardRole::Worker(shard) => {
@@ -531,7 +530,7 @@ pub fn run_sharded_sweep(
                 })
                 .collect();
             write_fragment(args, experiment, shard, spec.cells.len(), units);
-            args.report_cache_stats();
+            args.print_cache_counts();
             std::process::exit(0);
         }
         ShardRole::Farm => {
@@ -643,7 +642,7 @@ where
         ShardRole::Single => {
             let indices: Vec<usize> = (0..labels.len()).collect();
             let values = grid_indices(args, labels, &indices, &compute);
-            args.report_cache_stats();
+            args.print_cache_counts();
             values
         }
         ShardRole::Worker(shard) => {
@@ -655,7 +654,7 @@ where
                 .map(|(&i, v)| (i, labels[i].clone(), v.to_json()))
                 .collect();
             write_fragment(args, experiment, shard, labels.len(), units);
-            args.report_cache_stats();
+            args.print_cache_counts();
             std::process::exit(0);
         }
         ShardRole::Farm => {

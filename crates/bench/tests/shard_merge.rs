@@ -1,11 +1,12 @@
 //! The sharding contract, end to end over real binaries: N shards run by
 //! hand (`--shard I/N`) and merged later (`--merge-dir`) produce stdout
-//! and `--json` output byte-identical to a serial run. The same fragments
-//! shipped through a live farm are checked by the farm crate's
-//! `farm_loopback` test.
+//! and `--json` output byte-identical to a serial run, and concurrent
+//! workers filling one cold dataset cache never load a torn entry. The
+//! same fragments shipped through a live farm are checked by the farm
+//! crate's `farm_loopback` test.
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dvm-shard-merge-{tag}-{}", std::process::id()));
@@ -29,9 +30,9 @@ fn read(path: &Path) -> String {
 }
 
 /// Run `count` `experiment` workers by hand — the multi-machine
-/// workflow — each with `common` plus its `--shard I/N` slice, writing
-/// fragments under their canonical names into `frags`. Returns each
-/// worker's output; none of them prints to stdout.
+/// workflow — all at once, each with `common` plus its `--shard I/N`
+/// slice, writing fragments under their canonical names into `frags`.
+/// Returns each worker's output; none of them prints to stdout.
 fn run_manual_shards(
     exe: &str,
     experiment: &str,
@@ -39,15 +40,30 @@ fn run_manual_shards(
     count: usize,
     frags: &Path,
 ) -> Vec<Output> {
-    (0..count)
+    let workers: Vec<Child> = (0..count)
         .map(|i| {
             let out = frags.join(format!("{experiment}_shard{i}of{count}.json"));
-            let slice = format!("{i}/{count}");
-            let mut args = common.to_vec();
-            args.extend(["--shard", &slice, "--shard-out", out.to_str().unwrap()]);
-            let worker = run(exe, &args);
-            assert!(worker.stdout.is_empty(), "worker stdout should be empty");
-            worker
+            Command::new(exe)
+                .args(common)
+                .args(["--shard", &format!("{i}/{count}"), "--shard-out"])
+                .arg(out)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("worker spawned")
+        })
+        .collect();
+    workers
+        .into_iter()
+        .map(|worker| {
+            let output = worker.wait_with_output().expect("worker finished");
+            assert!(
+                output.status.success(),
+                "{exe} worker failed:\n{}",
+                String::from_utf8_lossy(&output.stderr)
+            );
+            assert!(output.stdout.is_empty(), "worker stdout should be empty");
+            output
         })
         .collect()
 }
@@ -70,15 +86,22 @@ fn fig2_manual_shards_merge_through_merge_dir() {
     );
 
     // Two and three shards (an even and an uneven split of the grid),
-    // all workers sharing one on-disk dataset cache.
+    // all workers sharing one on-disk dataset cache. The two-shard
+    // workers race to fill it cold, so both store the same entries at
+    // once; atomic renames mean neither may ever load a torn one.
     let cache = dir.join("cache");
     let common = ["--scale", "smoke", "--cache-dir", cache.to_str().unwrap()];
     for count in [2, 3] {
         let frags = dir.join(format!("frags{count}"));
         for worker in run_manual_shards(exe, "fig2", &common, count, &frags) {
+            let stderr = String::from_utf8_lossy(&worker.stderr);
             assert!(
-                String::from_utf8_lossy(&worker.stderr).contains("dataset-cache:"),
+                stderr.contains("dataset-cache:"),
                 "worker stderr should report cache stats"
+            );
+            assert!(
+                stderr.contains("rejected=0"),
+                "a worker loaded a torn entry: {stderr}"
             );
         }
         let merged_json = dir.join(format!("merged{count}.json"));

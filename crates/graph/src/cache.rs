@@ -8,30 +8,26 @@
 //! CSR arrays back in seconds.
 //!
 //! The format is deliberately boring: a fixed little-endian header
-//! carrying the key and an FNV-1a checksum, followed by the raw edge
-//! list. A loaded graph is rebuilt through [`Graph::from_edges`], the
-//! same constructor the generators use, so a cache hit is structurally
-//! identical (`==`) to regeneration. Every validation failure — short
-//! file, bad magic, version or key mismatch, checksum mismatch, edge out
-//! of range — falls back to regeneration and rewrites the entry, so a
-//! corrupt or stale cache can slow a run down but never change its
-//! output.
+//! carrying the key, followed by the raw edge list, with an FNV-1a
+//! checksum over both (every header field after the magic, plus the
+//! payload), so no flipped bit anywhere in an entry reaches the
+//! simulator. A loaded graph is rebuilt through [`Graph::from_edges`],
+//! the same constructor the generators use, so a cache hit is
+//! structurally identical (`==`) to regeneration. Every validation
+//! failure — short file, bad magic, version or key mismatch, checksum
+//! mismatch, edge out of range — falls back to regeneration and
+//! rewrites the entry, so a corrupt or stale cache can slow a run down
+//! but never change its output.
 //!
 //! Writes go through a temp file plus atomic rename, which makes
 //! concurrent writers filling the same cache directory safe: the temp
 //! name is unique per process *and* per call ([`unique_tmp_path`]), so
 //! neither shard workers nor `--jobs N` threads ever share a tmp file,
 //! the last renamer wins with a complete file, and readers never
-//! observe a partial entry. A failed store removes its tmp file.
-//!
-//! [`DatasetCache::with_budget`] additionally bounds the directory to a
-//! byte budget: every hit and store is recorded in a [`CacheBudget`]
-//! index, and after each store the least-recently-used entries are
-//! evicted until the directory fits. An evicted entry simply misses and
-//! regenerates on its next use, so a budgeted run's output is
-//! byte-identical to an unbounded one.
+//! observe a partial entry. A failed store removes its tmp file; a
+//! killed writer's `*.tmp*` file is never opened as an entry. The
+//! directory is unbounded: one entry per `(dataset, divisor)`.
 
-use crate::budget::{unique_tmp_path, CacheBudget};
 use crate::csr::{Edge, Graph};
 use crate::datasets::Dataset;
 use std::io;
@@ -39,18 +35,33 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bump whenever the on-disk layout (header or payload) changes; older
-/// entries are then treated as misses and rewritten.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
+/// entries are then different file names and are never read.
+pub const CACHE_FORMAT_VERSION: u32 = 2;
 
 /// `b"DVMGCSR\0"` — identifies a cache entry regardless of version.
 const MAGIC: [u8; 8] = *b"DVMGCSR\0";
 
 /// Header: magic + version + seed + divisor + num_vertices + num_edges +
-/// payload checksum.
+/// checksum.
 const HEADER_BYTES: usize = 8 + 4 + 8 + 4 + 4 + 8 + 8;
+
+/// Offset of the checksum field. It covers the header bytes between the
+/// magic and itself (version, seed, divisor, vertex and edge counts)
+/// followed by the payload.
+const CHECKSUM_AT: usize = HEADER_BYTES - 8;
 
 /// Bytes per serialized edge: src u32, dst u32, weight f32 bits.
 const EDGE_BYTES: usize = 12;
+
+/// A collision-free temp path next to `path`: unique per process (pid)
+/// *and* per call (atomic counter), so two threads of one `--jobs N`
+/// process storing the same entry never interleave writes on one tmp
+/// file and rename a torn result into place.
+pub fn unique_tmp_path(path: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let token = NEXT.fetch_add(1, Ordering::Relaxed);
+    path.with_extension(format!("tmp{}-{token}", std::process::id()))
+}
 
 /// A directory of cached dataset graphs plus hit/miss accounting.
 ///
@@ -67,49 +78,26 @@ const EDGE_BYTES: usize = 12;
 #[derive(Debug)]
 pub struct DatasetCache {
     dir: PathBuf,
-    budget: CacheBudget,
     hits: AtomicU64,
     misses: AtomicU64,
     rejected: AtomicU64,
 }
 
 impl DatasetCache {
-    /// Open (creating if needed) an unbounded cache directory.
+    /// Open (creating if needed) a cache directory.
     ///
     /// # Errors
     ///
     /// Propagates the `create_dir_all` failure.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::with_budget(dir, None)
-    }
-
-    /// Open a cache directory bounded to `max_bytes` of entries
-    /// (`None` = unbounded). Accesses are recorded either way, so the
-    /// LRU history is warm when a budget is first applied.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the `create_dir_all` failure.
-    pub fn with_budget(dir: impl Into<PathBuf>, max_bytes: Option<u64>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(Self {
-            budget: CacheBudget::new(dir.clone(), ".csr", max_bytes),
             dir,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         })
-    }
-
-    /// The eviction layer (always present; inert without a budget).
-    pub fn budget(&self) -> &CacheBudget {
-        &self.budget
-    }
-
-    /// Entries this process evicted to stay under the byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.budget.evictions()
     }
 
     /// The cache directory.
@@ -153,9 +141,6 @@ impl DatasetCache {
             Ok(bytes) => match decode(&bytes, dataset.seed(), divisor) {
                 Some(graph) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-                        self.budget.record_access(name, bytes.len() as u64);
-                    }
                     return graph;
                 }
                 None => {
@@ -178,19 +163,9 @@ impl DatasetCache {
         graph
     }
 
-    /// Serialize `graph` to `path` via a temp file + atomic rename,
-    /// then record the entry and evict over-budget LRU entries.
+    /// Serialize `graph` to `path` via a temp file + atomic rename.
     fn store(&self, path: &Path, seed: u64, divisor: u32, graph: &Graph) -> io::Result<()> {
-        let payload = encode_payload(graph);
-        let mut bytes = Vec::with_capacity(HEADER_BYTES + payload.len());
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&seed.to_le_bytes());
-        bytes.extend_from_slice(&divisor.to_le_bytes());
-        bytes.extend_from_slice(&graph.num_vertices().to_le_bytes());
-        bytes.extend_from_slice(&graph.num_edges().to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let bytes = encode(seed, divisor, graph);
         // Temp name unique per process *and* per call, so concurrent
         // writers (shard processes or --jobs threads racing on the same
         // entry) never interleave writes; rename is atomic on POSIX.
@@ -200,25 +175,40 @@ impl DatasetCache {
             // Never leak a tmp file: a partial write or failed rename
             // leaves it behind otherwise.
             let _ = std::fs::remove_file(&tmp);
-            return written;
         }
-        if let Some(name) = path.file_name().and_then(|n| n.to_str()) {
-            self.budget.record_access(name, bytes.len() as u64);
-        }
-        self.budget.enforce();
-        Ok(())
+        written
     }
 }
 
-/// The edge array as raw little-endian bytes, in CSR order.
-fn encode_payload(graph: &Graph) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(graph.edges().len() * EDGE_BYTES);
+/// A whole cache entry: header, then the edge array as raw little-endian
+/// bytes in CSR order, with the checksum patched in last.
+fn encode(seed: u64, divisor: u32, graph: &Graph) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(HEADER_BYTES + graph.edges().len() * EDGE_BYTES);
+    bytes.extend_from_slice(&MAGIC);
+    bytes.extend_from_slice(&CACHE_FORMAT_VERSION.to_le_bytes());
+    bytes.extend_from_slice(&seed.to_le_bytes());
+    bytes.extend_from_slice(&divisor.to_le_bytes());
+    bytes.extend_from_slice(&graph.num_vertices().to_le_bytes());
+    bytes.extend_from_slice(&graph.num_edges().to_le_bytes());
+    bytes.extend_from_slice(&[0; 8]);
     for e in graph.edges() {
-        payload.extend_from_slice(&e.src.to_le_bytes());
-        payload.extend_from_slice(&e.dst.to_le_bytes());
-        payload.extend_from_slice(&e.weight.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&e.src.to_le_bytes());
+        bytes.extend_from_slice(&e.dst.to_le_bytes());
+        bytes.extend_from_slice(&e.weight.to_bits().to_le_bytes());
     }
-    payload
+    let checksum = checksum(&bytes);
+    bytes[CHECKSUM_AT..HEADER_BYTES].copy_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+/// FNV-1a over every header field after the magic, then the payload —
+/// everything in the entry except the magic and the checksum itself.
+/// Callers guarantee `bytes.len() >= HEADER_BYTES`.
+fn checksum(bytes: &[u8]) -> u64 {
+    fnv1a_extend(
+        fnv1a_extend(FNV_OFFSET, &bytes[MAGIC.len()..CHECKSUM_AT]),
+        &bytes[HEADER_BYTES..],
+    )
 }
 
 /// Validate and decode a cache entry; `None` means "treat as a miss".
@@ -233,10 +223,9 @@ fn decode(bytes: &[u8], want_seed: u64, want_divisor: u32) -> Option<Graph> {
     }
     let num_vertices = u32_at(24);
     let num_edges = u64_at(28);
-    let checksum = u64_at(36);
     let payload = &bytes[HEADER_BYTES..];
     if payload.len() as u64 != num_edges.checked_mul(EDGE_BYTES as u64)?
-        || fnv1a(payload) != checksum
+        || checksum(bytes) != u64_at(CHECKSUM_AT)
     {
         return None;
     }
@@ -256,9 +245,12 @@ fn decode(bytes: &[u8], want_seed: u64, want_divisor: u32) -> Option<Graph> {
     Some(Graph::from_edges(num_vertices, edges))
 }
 
-/// 64-bit FNV-1a over `bytes` — cheap, dependency-free corruption check.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+/// The 64-bit FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue a 64-bit FNV-1a hash over `bytes` — a cheap,
+/// dependency-free corruption check.
+fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -269,6 +261,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvm_sim::DetRng;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dvm-cache-test-{tag}-{}", std::process::id()));
@@ -279,9 +272,12 @@ mod tests {
     #[test]
     fn fnv1a_matches_known_vectors() {
         // Published FNV-1a test vectors.
+        let fnv1a = |bytes: &[u8]| fnv1a_extend(FNV_OFFSET, bytes);
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        // Hashing in pieces equals hashing the concatenation.
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 
     #[test]
@@ -304,6 +300,54 @@ mod tests {
         assert!(decode(&bytes, Dataset::Flickr.seed(), 512).is_none());
         drop(graph);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_header_bit_and_sampled_payload_bits_are_checked() {
+        // Regression test: the checksum used to cover the payload only,
+        // so a flipped vertex-count bit (byte 24) decoded as a graph
+        // with 1025 vertices instead of 1024.
+        const SEED: u64 = 0xC5_F11B;
+        const PAYLOAD_SAMPLES: usize = 256;
+        let dir = scratch_dir("headerflip");
+        let cache = DatasetCache::new(&dir).unwrap();
+        cache.get_or_generate(Dataset::Flickr, 1024);
+        let bytes = std::fs::read(cache.entry_path(Dataset::Flickr, 1024)).unwrap();
+        let seed = Dataset::Flickr.seed();
+        assert!(decode(&bytes, seed, 1024).is_some());
+        let flipped_decodes = |bit: usize| {
+            let mut corrupt = bytes.clone();
+            corrupt[bit / 8] ^= 1 << (bit % 8);
+            decode(&corrupt, seed, 1024).is_some()
+        };
+        for bit in 0..HEADER_BYTES * 8 {
+            assert!(
+                !flipped_decodes(bit),
+                "header bit {bit} flipped and decoded"
+            );
+        }
+        let mut rng = DetRng::new(SEED);
+        let payload_bits = ((bytes.len() - HEADER_BYTES) * 8) as u64;
+        for case in 0..PAYLOAD_SAMPLES {
+            let bit = HEADER_BYTES * 8 + rng.below(payload_bits) as usize;
+            assert!(
+                !flipped_decodes(bit),
+                "seed {SEED:#x} case {case}: payload bit {bit} flipped and decoded"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unique_tmp_paths_never_collide() {
+        let path = Path::new("/cache/FR_div4_v2.csr");
+        let a = unique_tmp_path(path);
+        let b = unique_tmp_path(path);
+        assert_ne!(a, b);
+        for tmp in [&a, &b] {
+            let ext = tmp.extension().unwrap().to_str().unwrap();
+            assert!(ext.starts_with("tmp"), "tmp extension, got {ext}");
+        }
     }
 
     #[test]

@@ -17,14 +17,12 @@
 //! assert_eq!(g.num_vertices(), 4096);
 //! ```
 
-pub mod budget;
 pub mod cache;
 pub mod csr;
 pub mod datasets;
 pub mod rmat;
 
-pub use budget::{unique_tmp_path, BudgetEntry, CacheBudget, BUDGET_LOG};
-pub use cache::{DatasetCache, CACHE_FORMAT_VERSION};
+pub use cache::{unique_tmp_path, DatasetCache, CACHE_FORMAT_VERSION};
 pub use csr::{Edge, Graph};
 pub use datasets::{Dataset, DatasetSpec};
 pub use rmat::{rmat, to_bipartite, RmatParams};

@@ -3,6 +3,7 @@
 //! the generator (and is repaired on disk).
 
 use dvm_graph::{Dataset, DatasetCache};
+use dvm_sim::DetRng;
 use std::path::PathBuf;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -125,42 +126,6 @@ fn failed_store_cleans_up_its_tmp_file() {
 }
 
 #[test]
-fn budget_evicts_lru_entries_and_misses_stay_clean() {
-    let dir = scratch_dir("budget");
-    // Populate three entries, then reopen with a budget sized from the
-    // real files so exactly one of them no longer fits.
-    let sizer = DatasetCache::new(&dir).unwrap();
-    for dataset in [Dataset::Flickr, Dataset::Netflix, Dataset::Rmat24] {
-        sizer.get_or_generate(dataset, 2048);
-    }
-    let entry_bytes = |d: Dataset| std::fs::metadata(sizer.entry_path(d, 2048)).unwrap().len();
-    let budget = entry_bytes(Dataset::Flickr) + entry_bytes(Dataset::Rmat24);
-
-    let cache = DatasetCache::with_budget(&dir, Some(budget)).unwrap();
-    assert_eq!(cache.budget().max_bytes(), Some(budget));
-    // Touch FR so NF (stored before S24, never touched since) is the
-    // least-recently-used entry and the sole victim.
-    let fr = cache.get_or_generate(Dataset::Flickr, 2048);
-    assert_eq!(cache.budget().enforce(), 1);
-    assert_eq!(cache.evictions(), 1);
-    assert!(!sizer.entry_path(Dataset::Netflix, 2048).exists());
-    assert!(sizer.entry_path(Dataset::Flickr, 2048).exists());
-    assert!(sizer.entry_path(Dataset::Rmat24, 2048).exists());
-    assert!(
-        cache.budget().used_bytes() <= budget,
-        "directory exceeds the budget"
-    );
-    // The evicted entry degrades to a clean regenerate-on-miss, and the
-    // re-store keeps the directory under budget.
-    let nf = cache.get_or_generate(Dataset::Netflix, 2048);
-    assert_eq!(nf, Dataset::Netflix.generate(2048));
-    assert_eq!(fr, Dataset::Flickr.generate(2048));
-    assert!(cache.budget().used_bytes() <= budget);
-    assert_eq!(cache.rejected(), 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn garbage_file_falls_back_cleanly() {
     let dir = scratch_dir("garbage");
     let cache = DatasetCache::new(&dir).unwrap();
@@ -170,5 +135,59 @@ fn garbage_file_falls_back_cleanly() {
     let expected = Dataset::Wikipedia.generate(1024);
     assert_eq!(cache.get_or_generate(Dataset::Wikipedia, 1024), expected);
     assert_eq!(cache.rejected(), 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn damaged_entries_always_regenerate_the_same_graph() {
+    // Fuzz the DVMGCSR reader through the public path: every truncation
+    // inside the header, then seeded byte replace/insert/delete cases.
+    // Each damaged entry goes to disk and `get_or_generate` must serve
+    // the generated graph without panicking.
+    const SEED: u64 = 0xD5_6C5A;
+    const CASES: usize = 96;
+    const HEADER_BYTES: usize = 44;
+    let dir = scratch_dir("fuzz");
+    let cache = DatasetCache::new(&dir).unwrap();
+    let expected = Dataset::Flickr.generate(1024);
+    assert_eq!(cache.get_or_generate(Dataset::Flickr, 1024), expected);
+    let path = cache.entry_path(Dataset::Flickr, 1024);
+    let entry = std::fs::read(&path).unwrap();
+    let serves_expected = |damaged: &[u8], case: &str| {
+        std::fs::write(&path, damaged).unwrap();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_generate(Dataset::Flickr, 1024) == expected
+        }));
+        let served = outcome.unwrap_or_else(|_| panic!("seed {SEED:#x} {case}: reader panicked"));
+        assert!(served, "seed {SEED:#x} {case}: served a different graph");
+    };
+    for cut in 0..=HEADER_BYTES {
+        serves_expected(&entry[..cut], &format!("truncated at {cut}"));
+    }
+    let mut rng = DetRng::new(SEED);
+    for case in 0..CASES {
+        let mut bytes = entry.clone();
+        for _ in 0..=rng.below(3) {
+            // Aim half the edits at the header, where a single bad field
+            // used to matter most.
+            let span = if rng.chance(0.5) {
+                HEADER_BYTES
+            } else {
+                bytes.len()
+            };
+            let at = rng.below(span as u64) as usize;
+            let byte = rng.below(256) as u8;
+            match rng.below(3) {
+                0 => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                _ => drop(bytes.remove(at)),
+            }
+        }
+        serves_expected(&bytes, &format!("case {case}"));
+    }
+    assert_eq!(
+        cache.hits() + cache.misses(),
+        (HEADER_BYTES + 2 + CASES) as u64
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
