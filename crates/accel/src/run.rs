@@ -230,69 +230,24 @@ fn poke_f32(sys: &mut MemSystem, va: VirtAddr, value: f32) {
     poke_u32(sys, va, value.to_bits());
 }
 
-/// Largest factor vector (in bytes) the batched helpers handle on the
-/// stack; larger vectors fall back to per-lane accesses.
-const VEC_BUF_BYTES: usize = 512;
-
-/// Untimed read of `k` contiguous f32 lanes with a single translation
-/// (the vector is page-contained: strides divide the page size).
-fn peek_vec(sys: &MemSystem, va: VirtAddr, k: u64, out: &mut Vec<f32>) {
-    let (pa, _) = sys
-        .untimed_translate(va)
-        .unwrap_or_else(|| panic!("untimed read of unmapped {va}"));
-    out.clear();
-    let len = k as usize * 4;
-    if len <= VEC_BUF_BYTES {
-        let mut buf = [0u8; VEC_BUF_BYTES];
-        sys.mem.read_bytes(pa, &mut buf[..len]);
-        out.extend(
-            buf[..len]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap())),
-        );
-    } else {
-        for lane in 0..k {
-            out.push(sys.mem.read_f32(pa + lane * 4));
-        }
-    }
-}
-
-/// Untimed write of lanes `1..k` (lane 0 is written by the timed store).
-fn poke_vec_tail(sys: &mut MemSystem, va: VirtAddr, values: &[f32]) {
-    let (pa, _) = sys
-        .untimed_translate(va)
-        .unwrap_or_else(|| panic!("untimed write of unmapped {va}"));
-    let tail = &values[1..];
-    let len = tail.len() * 4;
-    if len <= VEC_BUF_BYTES {
-        let mut buf = [0u8; VEC_BUF_BYTES];
-        for (chunk, v) in buf.chunks_exact_mut(4).zip(tail) {
-            chunk.copy_from_slice(&v.to_le_bytes());
-        }
-        sys.mem.write_bytes(pa + 4, &buf[..len]);
-    } else {
-        for (lane, v) in values.iter().enumerate().skip(1) {
-            sys.mem.write_f32(pa + lane as u64 * 4, *v);
-        }
-    }
-}
-
-/// Host-side memset of a `u32` array (page-chunked, untimed).
-fn memset_u32(sys: &mut MemSystem, base: VirtAddr, count: u64, value: u32) {
-    // One full page of the fill pattern, sliced per chunk. `base` is
-    // 4-aligned and pages are 4-aligned, so chunks are whole words.
+/// Host-side fill of a `u32` array, element `i` set to `value(i)`
+/// (page-chunked, untimed).
+fn fill_u32(sys: &mut MemSystem, base: VirtAddr, count: u64, value: impl Fn(u64) -> u32) {
+    // `base` is 4-aligned and pages are 4-aligned, so chunks are whole
+    // words.
     let mut buf = Vec::with_capacity(PAGE_SIZE as usize);
-    for _ in 0..PAGE_SIZE / 4 {
-        buf.extend_from_slice(&value.to_le_bytes());
-    }
     let total = count * 4;
     let mut done = 0u64;
     while done < total {
         let va = base + done;
         let in_page = PAGE_SIZE - (va.raw() % PAGE_SIZE);
         let n = in_page.min(total - done);
+        buf.clear();
+        for i in done / 4..(done + n) / 4 {
+            buf.extend_from_slice(&value(i).to_le_bytes());
+        }
         let (pa, _) = sys.untimed_translate(va).expect("mapped");
-        sys.mem.write_bytes(pa, &buf[..n as usize]);
+        sys.mem.write_bytes(pa, &buf);
         done += n;
     }
 }
@@ -343,10 +298,9 @@ impl<D: SchemeDispatch> Port<'_, '_, D> {
         Ok(value)
     }
     #[inline]
-    fn read_f32(&mut self, va: VirtAddr) -> Result<f32, Fault> {
-        let (value, lat) = self.sys.read_f32_via::<D>(va)?;
-        self.pending = lat;
-        Ok(value)
+    fn read_row(&mut self, va: VirtAddr, out: &mut [f32]) -> Result<(), Fault> {
+        self.pending = self.sys.read_row_f32_via::<D>(va, out)?;
+        Ok(())
     }
     #[inline]
     fn write_u32(&mut self, va: VirtAddr, value: u32) -> Result<(), Fault> {
@@ -354,8 +308,8 @@ impl<D: SchemeDispatch> Port<'_, '_, D> {
         Ok(())
     }
     #[inline]
-    fn write_f32(&mut self, va: VirtAddr, value: f32) -> Result<(), Fault> {
-        self.pending = self.sys.write_f32_via::<D>(va, value)?;
+    fn write_row(&mut self, va: VirtAddr, values: &[f32]) -> Result<(), Fault> {
+        self.pending = self.sys.write_row_f32_via::<D>(va, values)?;
         Ok(())
     }
     #[inline]
@@ -480,7 +434,7 @@ fn bfs<D: SchemeDispatch>(
     root: u32,
 ) -> Result<(u64, u32), Fault> {
     assert!(root < g.num_vertices, "root out of range");
-    memset_u32(port.sys, g.prop_va, g.num_vertices as u64, BFS_INF);
+    fill_u32(port.sys, g.prop_va, g.num_vertices as u64, |_| BFS_INF);
     poke_u32(port.sys, g.prop_entry(root), 0);
     poke_u32(port.sys, g.frontier_a_va, root);
 
@@ -587,12 +541,9 @@ fn sssp<D: SchemeDispatch>(
     max_iterations: u32,
 ) -> Result<(u64, u32), Fault> {
     assert!(root < g.num_vertices, "root out of range");
-    memset_u32(
-        port.sys,
-        g.prop_va,
-        g.num_vertices as u64,
-        f32::INFINITY.to_bits(),
-    );
+    fill_u32(port.sys, g.prop_va, g.num_vertices as u64, |_| {
+        f32::INFINITY.to_bits()
+    });
     poke_f32(port.sys, g.prop_entry(root), 0.0);
     poke_u32(port.sys, g.frontier_a_va, root);
 
@@ -656,27 +607,16 @@ fn cf<D: SchemeDispatch>(
     features: u32,
 ) -> Result<(u64, u32), Fault> {
     assert!(features > 0, "CF needs at least one feature");
-    // Deterministic small initial factors (one translation and one byte
-    // write per vertex).
-    let mut row = Vec::with_capacity(features as usize * 4);
-    for v in 0..g.num_vertices {
-        row.clear();
-        for f in 0..features {
-            let seed = ((v as u64 * 31 + f as u64 * 7) % 97) as f32;
-            row.extend_from_slice(&(0.05 + seed / 1000.0).to_le_bytes());
-        }
-        let (pa, _) = port
-            .sys
-            .untimed_translate(g.prop_entry(v))
-            .expect("prop array mapped");
-        port.sys.mem.write_bytes(pa, &row);
-    }
-    let mut edges_processed = 0u64;
+    // Deterministic small initial factors.
     let k = features as u64;
-    let mut uvec: Vec<f32> = Vec::with_capacity(k as usize);
-    let mut mvec: Vec<f32> = Vec::with_capacity(k as usize);
-    let mut unew: Vec<f32> = Vec::with_capacity(k as usize);
-    let mut mnew: Vec<f32> = Vec::with_capacity(k as usize);
+    fill_u32(port.sys, g.prop_va, g.num_vertices as u64 * k, |i| {
+        let (v, f) = (i / k, i % k);
+        let seed = ((v * 31 + f * 7) % 97) as f32;
+        (0.05 + seed / 1000.0).to_bits()
+    });
+    let mut edges_processed = 0u64;
+    let mut u = vec![0.0f32; features as usize];
+    let mut m = vec![0.0f32; features as usize];
 
     for _ in 0..iterations {
         for j in 0..g.num_edges {
@@ -686,36 +626,27 @@ fn cf<D: SchemeDispatch>(
             let e_stream = port.next_stream();
             port.charge(e_stream);
             edges_processed += 1;
-            // Vector reads: one timed transaction each (the vector is one
-            // DRAM burst), remaining lanes functional with one translation.
+            // Each factor row is one timed transaction (one DRAM burst).
+            // User then item, read and written back in that order, so a
+            // self-edge leaves the item's update in memory.
             let user_va = g.prop_entry(user);
             let item_va = g.prop_entry(item);
-            let u0 = port.read_f32(user_va)?;
+            port.read_row(user_va, &mut u)?;
             port.charge(e_user);
-            let m0 = port.read_f32(item_va)?;
+            port.read_row(item_va, &mut m)?;
             port.charge(e_item);
-            peek_vec(port.sys, user_va, k, &mut uvec);
-            peek_vec(port.sys, item_va, k, &mut mvec);
-            uvec[0] = u0;
-            mvec[0] = m0;
-            let err = rating - uvec.iter().zip(&mvec).map(|(a, b)| a * b).sum::<f32>();
-            // SGD update of both factor vectors.
-            unew.clear();
-            mnew.clear();
-            for f in 0..k as usize {
-                unew.push(
-                    uvec[f] + CF_LEARNING_RATE * (err * mvec[f] - CF_REGULARIZATION * uvec[f]),
-                );
-                mnew.push(
-                    mvec[f] + CF_LEARNING_RATE * (err * uvec[f] - CF_REGULARIZATION * mvec[f]),
-                );
+            let err = rating - u.iter().zip(&m).map(|(a, b)| a * b).sum::<f32>();
+            // SGD update of both factor rows; lane f of each new row
+            // depends only on lane f of the old ones.
+            for (uf, mf) in u.iter_mut().zip(&mut m) {
+                let (old_u, old_m) = (*uf, *mf);
+                *uf = old_u + CF_LEARNING_RATE * (err * old_m - CF_REGULARIZATION * old_u);
+                *mf = old_m + CF_LEARNING_RATE * (err * old_u - CF_REGULARIZATION * old_m);
             }
-            port.write_f32(user_va, unew[0])?;
+            port.write_row(user_va, &u)?;
             port.charge(e_user);
-            port.write_f32(item_va, mnew[0])?;
+            port.write_row(item_va, &m)?;
             port.charge(e_item);
-            poke_vec_tail(port.sys, user_va, &unew);
-            poke_vec_tail(port.sys, item_va, &mnew);
         }
     }
     Ok((edges_processed, iterations))

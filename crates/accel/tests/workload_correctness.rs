@@ -3,27 +3,14 @@
 //! host reference implementations — the timing scheme must never change
 //! functional behaviour.
 
+mod common;
+
+use common::{os_for, BUILTINS};
 use dvm_accel::{layout, reference, run, AccelConfig, Workload};
 use dvm_energy::EnergyParams;
 use dvm_graph::{rmat, to_bipartite, Graph, RmatParams};
-use dvm_mem::{Dram, DramConfig, MachineConfig};
+use dvm_mem::{Dram, DramConfig};
 use dvm_mmu::{Iommu, MemSystem, SchemeId};
-use dvm_os::{MapFlavor, Os, OsConfig};
-
-fn os_for(config: SchemeId) -> Os {
-    let flavor = match config.required_leaf_size() {
-        Some(page_size) => MapFlavor::Paged(page_size),
-        None => MapFlavor::DvmPe,
-    };
-    Os::new(OsConfig {
-        machine: MachineConfig {
-            mem_bytes: 8 << 30, // roomy: the 1G flavour pads every region
-        },
-        flavor,
-        maintain_bitmap: config.needs_bitmap(),
-        ..OsConfig::default()
-    })
-}
 
 fn run_workload(
     config: SchemeId,
@@ -102,32 +89,44 @@ fn sssp_matches_dijkstra_on_all_configs() {
     }
 }
 
+/// CF's factors must equal the host SGD bit for bit under every builtin
+/// scheme: at 8 features (32-byte rows), 24 (96-byte rows, one in 64
+/// crossing a page boundary) and 200 (800-byte rows, three in 16
+/// crossing).
 #[test]
 fn cf_matches_reference_sgd() {
     let graph = bipartite_graph();
-    let workload = Workload::Cf {
-        iterations: 1,
-        features: 8,
-    };
-    let want = reference::cf_factors(&graph, 1, 8);
-    for config in [SchemeId::IDEAL, SchemeId::DVM_PE_PLUS] {
-        let mut os = os_for(config);
-        let pid = os.spawn().unwrap();
-        let g = layout::load_graph(&mut os, pid, &graph, workload.prop_stride()).unwrap();
-        let mut iommu = Iommu::new(config, EnergyParams::default());
-        let mut dram = Dram::new(DramConfig::default());
-        let pt = os.process(pid).unwrap().page_table;
-        let mut sys = MemSystem::new(&mut iommu, &pt, None, &mut os.machine.mem, &mut dram);
-        run(&workload, &g, &mut sys, &AccelConfig::default()).unwrap();
-        // Dump all 8 features per vertex.
-        let mut got = Vec::new();
-        for v in 0..g.num_vertices {
-            for f in 0..8u64 {
-                let (pa, _) = sys.pt.translate(sys.mem, g.prop_entry(v) + f * 4).unwrap();
-                got.push(sys.mem.read_f32(pa));
+    for features in [8u32, 24, 200] {
+        let workload = Workload::Cf {
+            iterations: 1,
+            features,
+        };
+        let want = reference::cf_factors(&graph, 1, features);
+        for config in BUILTINS {
+            let mut os = os_for(config);
+            let pid = os.spawn().unwrap();
+            let g = layout::load_graph(&mut os, pid, &graph, workload.prop_stride()).unwrap();
+            let mut iommu = Iommu::new(config, EnergyParams::default());
+            let mut dram = Dram::new(DramConfig::default());
+            let pt = os.process(pid).unwrap().page_table;
+            let bitmap = os.bitmap;
+            let mut sys = MemSystem::new(
+                &mut iommu,
+                &pt,
+                bitmap.as_ref(),
+                &mut os.machine.mem,
+                &mut dram,
+            );
+            run(&workload, &g, &mut sys, &AccelConfig::default()).unwrap();
+            let mut got = Vec::new();
+            for v in 0..g.num_vertices {
+                for f in 0..features as u64 {
+                    let (pa, _) = sys.pt.translate(sys.mem, g.prop_entry(v) + f * 4).unwrap();
+                    got.push(sys.mem.read_f32(pa));
+                }
             }
+            assert_eq!(got, want, "config {config}, {features} features");
         }
-        assert_eq!(got, want, "config {config}");
     }
 }
 

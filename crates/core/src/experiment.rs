@@ -146,7 +146,8 @@ pub fn run_graph_experiment(
     // otherwise keep the whole per-access path out of the inliner's reach);
     // runtime-registered schemes take the dynamic path. Either way the
     // executed scheme code is identical — `dispatch::Dyn` is the oracle the
-    // static tokens are tested against in `dvm-accel`.
+    // static tokens are tested against in
+    // `crates/accel/tests/dispatch_equivalence.rs`.
     let result = match config.mmu {
         SchemeId::CONV_4K => run_via::<dispatch::Conv4K>(workload, g, &mut sys, accel),
         SchemeId::CONV_2M => run_via::<dispatch::Conv2M>(workload, g, &mut sys, accel),

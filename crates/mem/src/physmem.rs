@@ -244,6 +244,54 @@ impl PhysMem {
     pub fn write_f32(&mut self, pa: PhysAddr, value: f32) {
         self.write_u32(pa, value.to_bits());
     }
+
+    /// Read `out.len()` little-endian `f32`s stored back to back from
+    /// `pa`; unwritten memory reads as zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run leaves `pa`'s frame or lies beyond physical
+    /// memory.
+    #[inline]
+    pub fn read_f32s(&self, pa: PhysAddr, out: &mut [f32]) {
+        let (frame, offset) = self.frame_of(pa);
+        let len = out.len() * 4;
+        assert!(
+            offset + len <= FRAME_BYTES,
+            "f32 run crosses a frame at {pa}"
+        );
+        match &self.frames[frame] {
+            Some(data) => {
+                for (v, bytes) in out
+                    .iter_mut()
+                    .zip(data[offset..offset + len].chunks_exact(4))
+                {
+                    *v = f32::from_le_bytes(bytes.try_into().unwrap());
+                }
+            }
+            None => out.fill(0.0),
+        }
+    }
+
+    /// Write `values` little-endian and back to back from `pa`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run leaves `pa`'s frame or lies beyond physical
+    /// memory.
+    #[inline]
+    pub fn write_f32s(&mut self, pa: PhysAddr, values: &[f32]) {
+        let (frame, offset) = self.frame_of(pa);
+        let len = values.len() * 4;
+        assert!(
+            offset + len <= FRAME_BYTES,
+            "f32 run crosses a frame at {pa}"
+        );
+        let dst = &mut self.frame_mut(frame)[offset..offset + len];
+        for (bytes, v) in dst.chunks_exact_mut(4).zip(values) {
+            bytes.copy_from_slice(&v.to_le_bytes());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -289,6 +337,30 @@ mod tests {
         let mut back = vec![0u8; data.len()];
         mem.read_bytes(PhysAddr::new(100), &mut back);
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn f32_runs_match_per_word_access() {
+        let mut mem = PhysMem::new(4);
+        let mut row = [0.0f32; 8];
+        mem.read_f32s(PhysAddr::new(PAGE_SIZE), &mut row);
+        assert_eq!(row, [0.0; 8]);
+        assert_eq!(mem.resident_frames(), 0, "reads never materialize");
+        let values: Vec<f32> = (0..8).map(|i| i as f32 * -1.25).collect();
+        let pa = PhysAddr::new(2 * PAGE_SIZE - 32); // ends exactly at the frame end
+        mem.write_f32s(pa, &values);
+        for (i, v) in values.iter().enumerate() {
+            assert_eq!(mem.read_f32(pa + i as u64 * 4).to_bits(), v.to_bits());
+        }
+        mem.read_f32s(pa, &mut row);
+        assert_eq!(&row[..], &values[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "crosses a frame")]
+    fn f32_runs_stay_in_one_frame() {
+        let mut mem = PhysMem::new(4);
+        mem.write_f32s(PhysAddr::new(PAGE_SIZE - 4), &[1.0, 2.0]);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 use crate::iommu::{Iommu, Validation};
 use crate::memo::TranslationMemo;
 use crate::scheme::{dispatch, SchemeDispatch};
+use core::ops::Range;
 use dvm_mem::{Dram, PhysMem};
 use dvm_pagetable::{PageTable, PermBitmap};
 use dvm_sim::Cycles;
-use dvm_types::{AccessKind, Fault, Permission, PhysAddr, VirtAddr};
+use dvm_types::{AccessKind, Fault, PageSize, Permission, PhysAddr, VirtAddr, PAGE_SIZE};
 
 /// A borrow-bundle tying one IOMMU to one process's address space for the
 /// duration of an accelerator run.
@@ -109,6 +110,91 @@ impl<'a> MemSystem<'a> {
             .access_via::<D>(va, kind, self.pt, self.bitmap, self.mem, self.dram)
     }
 
+    /// Load the row of `out.len()` `f32` lanes stored back to back at
+    /// `va`; returns the latency. The row is one DRAM burst: lane 0 is
+    /// validated and timed exactly as a 4-byte load by
+    /// [`read_u32_via`](Self::read_u32_via), and every lane then moves
+    /// from the validated PA, translated again (untimed) where the row
+    /// crosses into the next 4 KiB page.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the IOMMU's [`Fault`] for lane 0; nothing is read then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `va` is not 4-byte aligned or the row runs into an
+    /// unmapped page.
+    #[inline]
+    pub fn read_row_f32_via<D: SchemeDispatch>(
+        &mut self,
+        va: VirtAddr,
+        out: &mut [f32],
+    ) -> Result<Cycles, Fault> {
+        let v = self.validate::<D>(va, AccessKind::Read)?;
+        let latency = self.finish(va, AccessKind::Read, v);
+        self.row_pieces(va, v.pa, out.len(), |mem, pa, lanes| {
+            mem.read_f32s(pa, &mut out[lanes]);
+        });
+        Ok(latency)
+    }
+
+    /// Store `values` as a row of `f32` lanes back to back at `va`;
+    /// returns the latency. Lane 0 is validated and timed exactly as a
+    /// 4-byte store by [`write_u32_via`](Self::write_u32_via); the rest
+    /// moves as in [`read_row_f32_via`](Self::read_row_f32_via).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the IOMMU's [`Fault`] for lane 0; nothing is written
+    /// then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `va` is not 4-byte aligned or the row runs into an
+    /// unmapped page.
+    #[inline]
+    pub fn write_row_f32_via<D: SchemeDispatch>(
+        &mut self,
+        va: VirtAddr,
+        values: &[f32],
+    ) -> Result<Cycles, Fault> {
+        let v = self.validate::<D>(va, AccessKind::Write)?;
+        let latency = self.finish(va, AccessKind::Write, v);
+        self.row_pieces(va, v.pa, values.len(), |mem, pa, lanes| {
+            mem.write_f32s(pa, &values[lanes]);
+        });
+        Ok(latency)
+    }
+
+    /// Call `piece(mem, pa, lanes)` for each page-contained run of the
+    /// `len`-lane `f32` row at `va`, whose first page is at `pa`; later
+    /// pages are translated untimed.
+    #[inline]
+    fn row_pieces(
+        &mut self,
+        va: VirtAddr,
+        mut pa: PhysAddr,
+        len: usize,
+        mut piece: impl FnMut(&mut PhysMem, PhysAddr, Range<usize>),
+    ) {
+        assert!(va.raw().is_multiple_of(4), "f32 row at unaligned {va}");
+        let (mut at, mut lane) = (va, 0);
+        loop {
+            let in_page = (PAGE_SIZE - at.page_offset(PageSize::Size4K)) / 4;
+            let n = (len - lane).min(in_page as usize);
+            piece(self.mem, pa, lane..lane + n);
+            lane += n;
+            if lane == len {
+                return;
+            }
+            at = va + lane as u64 * 4;
+            (pa, _) = self
+                .untimed_translate(at)
+                .unwrap_or_else(|| panic!("f32 row runs into unmapped {at}"));
+        }
+    }
+
     #[inline]
     fn finish(&mut self, va: VirtAddr, kind: AccessKind, v: Validation) -> Cycles {
         if v.squashed_preload {
@@ -199,15 +285,6 @@ typed!(
     u64,
     read_u64,
     write_u64
-);
-typed!(
-    read_f32,
-    read_f32_via,
-    write_f32,
-    write_f32_via,
-    f32,
-    read_f32,
-    write_f32
 );
 
 #[cfg(test)]
@@ -374,6 +451,69 @@ mod tests {
         let fault = sys.read_u32(VirtAddr::new(900 << 20)).unwrap_err();
         assert_eq!(fault.kind, dvm_types::FaultKind::NotMapped);
         assert_eq!(sys.iommu.stats.preload_squashes.get(), 1);
+    }
+
+    #[test]
+    fn rows_time_lane_zero_and_follow_the_page_table_across_pages() {
+        // Two consecutive 4K virtual pages on physically distant frames.
+        let (va, pa_lo, pa_hi) = (
+            VirtAddr::new(64 << 20),
+            dvm_types::PhysAddr::new(32 << 20),
+            dvm_types::PhysAddr::new(40 << 20),
+        );
+        let observe = |row: bool| {
+            let mut mem = PhysMem::new(1 << 16);
+            let mut alloc = BuddyAllocator::new(1 << 16);
+            let mut pt = PageTable::new(&mut mem, &mut alloc).unwrap();
+            for (page_va, pa) in [(va, pa_lo), (va + 4096, pa_hi)] {
+                pt.map_page(
+                    &mut mem,
+                    &mut alloc,
+                    page_va,
+                    pa,
+                    dvm_types::PageSize::Size4K,
+                    Permission::ReadWrite,
+                )
+                .unwrap();
+            }
+            let mut dram = Dram::new(DramConfig::default());
+            let mut iommu = Iommu::new(SchemeId::CONV_4K, EnergyParams::default());
+            let mut sys = MemSystem::new(&mut iommu, &pt, None, &mut mem, &mut dram);
+            // Three lanes in the first page, five in the second.
+            let start = va + (4096 - 12);
+            let values: Vec<f32> = (1..=8).map(|i| i as f32 / 3.0).collect();
+            let mut back = [0.0f32; 8];
+            let lat = if row {
+                let w = sys.write_row_f32_via::<dispatch::Dyn>(start, &values);
+                let r = sys.read_row_f32_via::<dispatch::Dyn>(start, &mut back);
+                (w.unwrap(), r.unwrap())
+            } else {
+                let w = sys.write_u32(start, values[0].to_bits());
+                let r = sys.read_u32(start);
+                back[0] = f32::from_bits(r.as_ref().unwrap().0);
+                (w.unwrap(), r.unwrap().1)
+            };
+            let lanes: Vec<f32> = (0..3)
+                .map(|i| sys.mem.read_f32(pa_lo + 4084 + i * 4))
+                .chain((0..5).map(|i| sys.mem.read_f32(pa_hi + i * 4)))
+                .collect();
+            let stats = format!(
+                "{:?} {:?} {:?} {} {}",
+                sys.iommu.stats,
+                sys.iommu.tlb_stats(),
+                sys.iommu.energy,
+                sys.dram.reads(),
+                sys.dram.writes()
+            );
+            (lat, back, lanes, stats, values)
+        };
+        let (row_lat, row_back, row_lanes, row_stats, values) = observe(true);
+        let (lane_lat, lane_back, _, lane_stats, _) = observe(false);
+        assert_eq!(row_lat, lane_lat, "a row costs one timed lane-0 access");
+        assert_eq!(row_stats, lane_stats, "and records the same events");
+        assert_eq!(row_back[0], lane_back[0]);
+        assert_eq!(row_lanes, values, "lanes land at the page table's PAs");
+        assert_eq!(row_back.to_vec(), values);
     }
 
     #[test]

@@ -567,17 +567,16 @@ impl TranslationScheme for DvmBitmap {
             .bitmap_cache
             .as_mut()
             .expect("DVM-BM has a bitmap cache");
-        let (hit, dav_latency) = match cache.access(word_pa, 2) {
-            crate::ptcache::PtcLookup::Hit => (true, 1),
+        let dav_latency = match cache.access(word_pa, 2) {
+            crate::ptcache::PtcLookup::Hit => 1,
             _ => {
                 let fetch = ctx.dram.access(word_pa, AccessKind::Read);
                 iommu.energy.record(MmEvent::WalkerDram);
                 iommu.stats.walk_mem_refs.inc();
                 iommu.stats.walker_busy.add(fetch);
-                (false, 1 + fetch)
+                1 + fetch
             }
         };
-        let _ = hit;
         let perms = bitmap.perms_of(ctx.mem, vpn);
         if perms.is_mapped() {
             // 1-step DAV success: identity access.

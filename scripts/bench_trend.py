@@ -7,8 +7,11 @@ Usage: bench_trend.py LABEL FIG8_MS FIG9_MS [FIG11_MS]
 The trend file is an append-only history of the figure sweeps that
 dominate a quick reproduction. Each appended entry names the host it
 ran on (`nproc` plus the /proc/cpuinfo model name), because wall times
-from different machines do not compare. The *baseline* is the newest
-prior entry from the same host that carries a fig8 sample; after
+from different machines do not compare. The *baseline* is the median
+fig8 wall time of the newest three prior entries from the same host
+that carry a fig8 sample (of one or two while fewer exist): on a shared
+virtual machine one host's fig8 time varies by half again between runs
+of unchanged code, so a single sample makes a noisy bar. After
 appending, the script exits non-zero if the new fig8 wall time exceeds
 the baseline by more than 25% — a per-access performance regression in
 the simulation core, which scripts/ci.sh treats as a failure. A host
@@ -22,10 +25,12 @@ existed simply lack the key.
 
 import json
 import os
+import statistics
 import sys
 from pathlib import Path
 
 GUARD_RATIO = 1.25
+BASELINE_SAMPLES = 3
 
 def load_doc() -> tuple[Path, dict]:
     path = Path(__file__).resolve().parent.parent / "results" / "BENCH_trend.json"
@@ -54,14 +59,10 @@ def main() -> int:
     fig11_ms = int(sys.argv[4]) if len(sys.argv) == 5 else None
     path, doc = load_doc()
     host = host_fingerprint()
-    baseline = next(
-        (
-            e
-            for e in reversed(doc["entries"])
-            if "fig8_wall_ms" in e and e.get("host") == host
-        ),
-        None,
-    )
+    same_host = [
+        e for e in doc["entries"] if "fig8_wall_ms" in e and e.get("host") == host
+    ]
+    recent = [e["fig8_wall_ms"] for e in same_host[-BASELINE_SAMPLES:]]
     entry = {
         "label": label,
         "host": host,
@@ -74,13 +75,14 @@ def main() -> int:
     path.write_text(json.dumps(doc, indent=2) + "\n")
     fig11_note = "" if fig11_ms is None else f", fig11 {fig11_ms} ms"
     sample = f"bench-trend: fig8 {fig8_ms} ms, fig9 {fig9_ms} ms{fig11_note}"
-    if baseline is None:
+    if not recent:
         print(f"{sample} (first baseline for host '{host}')")
         return 0
-    limit = baseline["fig8_wall_ms"] * GUARD_RATIO
+    baseline = statistics.median(recent)
+    limit = baseline * GUARD_RATIO
     print(
-        f"{sample} (baseline '{baseline['label']}' on '{host}': "
-        f"fig8 {baseline['fig8_wall_ms']} ms, guard {limit:.0f} ms)"
+        f"{sample} (baseline on '{host}': median fig8 {baseline:.0f} ms "
+        f"of {recent}, guard {limit:.0f} ms)"
     )
     if fig8_ms > limit:
         print(

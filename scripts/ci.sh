@@ -89,7 +89,8 @@ echo "== perf trend (fig8 + fig9, quick scale)"
 # Time the two dominant sweeps with a fresh shared report cache (fig8
 # simulates, fig9 replays — the reproduce_all.sh arrangement), append
 # both wall times to results/BENCH_trend.json, and fail if fig8
-# regressed more than 25% over the last entry recorded on this host.
+# regressed more than 25% over the median of the last three entries
+# recorded on this host.
 # Outputs are also diffed against the goldens — the perf machinery must
 # not change bytes.
 now_ms() { python3 -c 'import time; print(int(time.time()*1000))'; }
